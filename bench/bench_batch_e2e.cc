@@ -24,10 +24,7 @@
 //  * guided engine output bit-identical to the sequential guided loop
 //    at every thread count;
 //  * end-to-end engine speedup vs the seed loop >= 4x;
-//  * POI-stage speedup, guided vs rejection (per-stage split), >= 2x;
-//  * threads × cache-mode sweep (ISSUE 8): every {1, 2, hw} × {shared,
-//    sharded, replica} engine run bit-identical to the sequential
-//    reference (throughput keys are informational on 1-CPU hosts).
+//  * POI-stage speedup, guided vs rejection (per-stage split), >= 2x.
 //
 // Engine legs additionally record hardware counters (IPC, LLC misses
 // per n-gram) via bench/hw_counters.h; hosts without perf_event access
@@ -40,7 +37,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -211,13 +207,11 @@ int Run(size_t num_users, const std::string& json_path) {
     bench::HwSample sample;
   };
   auto run_engine = [&](size_t threads, core::PoiPolicy policy,
-                        std::optional<core::NgramDomain::CacheMode> mode,
                         double& seconds, HwStats* hw_out)
       -> StatusOr<std::vector<core::FullRelease>> {
     core::BatchReleaseEngine::Config engine_config;
     engine_config.num_threads = threads;
     engine_config.poi_policy = policy;
-    engine_config.cache_mode = mode;
     bench::HwCounters hw;
     core::BatchReleaseEngine engine(&*mech, engine_config);
     mech->domain().ClearCache();
@@ -243,8 +237,8 @@ int Run(size_t num_users, const std::string& json_path) {
 
   double engine1_seconds = 0.0;
   HwStats engine1_hw;
-  auto engine1 = run_engine(1, core::PoiPolicy::kRejection, std::nullopt,
-                            engine1_seconds, &engine1_hw);
+  auto engine1 = run_engine(1, core::PoiPolicy::kRejection, engine1_seconds,
+                            &engine1_hw);
   if (!engine1.ok()) {
     std::cerr << "engine(1): " << engine1.status() << "\n";
     return 1;
@@ -252,7 +246,7 @@ int Run(size_t num_users, const std::string& json_path) {
   const size_t hw_threads = ThreadPool::DefaultThreadCount();
   double engine_hw_seconds = 0.0;
   auto engine_hw = run_engine(hw_threads, core::PoiPolicy::kRejection,
-                              std::nullopt, engine_hw_seconds, nullptr);
+                              engine_hw_seconds, nullptr);
   if (!engine_hw.ok()) {
     std::cerr << "engine(" << hw_threads << "): " << engine_hw.status()
               << "\n";
@@ -283,56 +277,20 @@ int Run(size_t num_users, const std::string& json_path) {
 
   double guided1_seconds = 0.0;
   HwStats guided1_hw;
-  auto guided1 = run_engine(1, core::PoiPolicy::kGuided, std::nullopt,
-                            guided1_seconds, &guided1_hw);
+  auto guided1 = run_engine(1, core::PoiPolicy::kGuided, guided1_seconds,
+                            &guided1_hw);
   if (!guided1.ok()) {
     std::cerr << "guided engine(1): " << guided1.status() << "\n";
     return 1;
   }
   double guided_hw_seconds = 0.0;
   auto guided_hw = run_engine(hw_threads, core::PoiPolicy::kGuided,
-                              std::nullopt, guided_hw_seconds, nullptr);
+                              guided_hw_seconds, nullptr);
   if (!guided_hw.ok()) {
     std::cerr << "guided engine(" << hw_threads
               << "): " << guided_hw.status() << "\n";
     return 1;
   }
-
-  // --- 5. Threads × cache-mode contention sweep (ISSUE 8). -----------
-  // Every leg re-runs the rejection engine under an explicit cache mode
-  // and must land bit-identical to the sequential reference; throughput
-  // and counters quantify contention once a multi-core runner exists
-  // (informational on a 1-CPU host, where t2 just oversubscribes).
-  struct SweepLeg {
-    size_t threads;
-    const char* mode_name;
-    double seconds;
-    HwStats hw;
-  };
-  std::vector<size_t> sweep_threads = {1, 2};
-  if (hw_threads != 1 && hw_threads != 2) sweep_threads.push_back(hw_threads);
-  constexpr std::pair<const char*, core::NgramDomain::CacheMode> kSweepModes[] =
-      {{"shared", core::NgramDomain::CacheMode::kShared},
-       {"sharded", core::NgramDomain::CacheMode::kSharded},
-       {"replica", core::NgramDomain::CacheMode::kPerThread}};
-  std::vector<SweepLeg> sweep;
-  bool cache_sweep_identical = true;
-  for (size_t threads : sweep_threads) {
-    for (const auto& [mode_name, mode] : kSweepModes) {
-      SweepLeg leg{threads, mode_name, 0.0, {}};
-      auto result = run_engine(threads, core::PoiPolicy::kRejection, mode,
-                               leg.seconds, &leg.hw);
-      if (!result.ok()) {
-        std::cerr << "sweep engine(" << threads << ", " << mode_name
-                  << "): " << result.status() << "\n";
-        return 1;
-      }
-      if (!Identical(*result, sequential)) cache_sweep_identical = false;
-      sweep.push_back(leg);
-    }
-  }
-  // Leave the domain in its default mode for anyone embedding this TU.
-  mech->domain().set_cache_mode(core::NgramDomain::CacheMode::kSharded);
 
   const bool identical =
       Identical(*engine1, sequential) && Identical(*engine_hw, sequential);
@@ -397,19 +355,6 @@ int Run(size_t num_users, const std::string& json_path) {
   } else {
     std::cout << "hw counters: unavailable\n";
   }
-  for (const SweepLeg& leg : sweep) {
-    std::cout << "sweep t" << leg.threads << " " << leg.mode_name << ": "
-              << users_per_sec(leg.seconds) << " users/s";
-    if (leg.hw.available) {
-      std::cout << ", ipc " << leg.hw.sample.Ipc() << ", llc misses/n-gram "
-                << llc_per_ngram(leg.hw);
-    }
-    std::cout << "\n";
-  }
-  std::cout << "cache-mode sweep bit-identical: "
-            << (cache_sweep_identical ? "yes" : "NO — DETERMINISM BUG")
-            << "\n";
-
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
@@ -477,18 +422,7 @@ int Run(size_t num_users, const std::string& json_path) {
         << ",\n"
         << "  \"guided_engine_1t_ipc\": " << guided1_hw.sample.Ipc() << ",\n"
         << "  \"guided_engine_1t_llc_miss_per_ngram\": "
-        << llc_per_ngram(guided1_hw) << ",\n";
-    for (const SweepLeg& leg : sweep) {
-      const std::string prefix = "sweep_t" + std::to_string(leg.threads) +
-                                 "_" + leg.mode_name;
-      out << "  \"" << prefix
-          << "_users_per_sec\": " << users_per_sec(leg.seconds) << ",\n"
-          << "  \"" << prefix << "_ipc\": " << leg.hw.sample.Ipc() << ",\n"
-          << "  \"" << prefix << "_llc_miss_per_ngram\": "
-          << llc_per_ngram(leg.hw) << ",\n";
-    }
-    out << "  \"cache_sweep_bit_identical\": "
-        << (cache_sweep_identical ? "true" : "false") << ",\n"
+        << llc_per_ngram(guided1_hw) << ",\n"
         << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
         << "  \"guided_bit_identical\": "
         << (guided_identical ? "true" : "false") << "\n"
@@ -497,7 +431,6 @@ int Run(size_t num_users, const std::string& json_path) {
   }
 
   if (!identical || !guided_identical) return 2;
-  if (!cache_sweep_identical) return 5;
   if (speedup_vs_seed < 4.0) return 3;
   return poi_stage_speedup >= 2.0 ? 0 : 4;
 }

@@ -13,11 +13,9 @@
 #                      → optimal reconstruction → POI resampling):
 #                      users/s per path, Table-3-style stage split,
 #                      speedup vs the seed sequential loop, thread
-#                      scaling, the threads × cache-mode contention
-#                      sweep with its own bit-identity gate, hardware
-#                      counters (IPC, LLC miss/n-gram; zeros when the
-#                      host has no PMU — docs/PERF.md), and the
-#                      bit-identical check.
+#                      scaling, hardware counters (IPC, LLC
+#                      miss/n-gram; zeros when the host has no PMU —
+#                      docs/PERF.md), and the bit-identical check.
 #   BENCH_stream.json — streaming wire-format ingest through the
 #                      StreamingCollector: users/s across batch size ×
 #                      queue depth × shard count, the batch-engine
@@ -107,20 +105,11 @@ required = {
         "guided_bit_identical",
         "poi_stage_speedup",
         "speedup_vs_seed_loop",
-        # ISSUE 8: cache-contention sweep + hardware-counter keys. The
-        # sweep's t1/t2 legs exist on every host (hw-thread legs are
-        # extra); counters may report unavailable but the keys must be
-        # emitted.
-        "cache_sweep_bit_identical",
+        # Hardware-counter keys: counters may report unavailable but
+        # the keys must be emitted.
         "hw_counters_available",
         "engine_1t_ipc",
         "engine_1t_llc_miss_per_ngram",
-        "sweep_t1_shared_users_per_sec",
-        "sweep_t1_sharded_users_per_sec",
-        "sweep_t1_replica_users_per_sec",
-        "sweep_t2_shared_users_per_sec",
-        "sweep_t2_sharded_users_per_sec",
-        "sweep_t2_replica_users_per_sec",
     ],
     "BENCH_stream.json": ["bit_identical", "best_stream_users_per_sec"],
     # ISSUE 9: streaming analytics must carry the sharded-equals-batch

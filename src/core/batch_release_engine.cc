@@ -8,22 +8,14 @@ namespace trajldp::core {
 
 BatchReleaseEngine::BatchReleaseEngine(const NgramPerturber* perturber,
                                        Config config)
-    : perturber_(perturber), pool_(config.num_threads) {
-  if (config.cache_mode.has_value()) {
-    perturber_->domain().set_cache_mode(*config.cache_mode);
-  }
-}
+    : perturber_(perturber), pool_(config.num_threads) {}
 
 BatchReleaseEngine::BatchReleaseEngine(const NGramMechanism* mechanism,
                                        Config config)
     : perturber_(&mechanism->perturber()),
       pipeline_(mechanism->pipeline(config.poi_policy.value_or(
           mechanism->config().poi.policy))),
-      pool_(config.num_threads) {
-  if (config.cache_mode.has_value()) {
-    perturber_->domain().set_cache_mode(*config.cache_mode);
-  }
-}
+      pool_(config.num_threads) {}
 
 template <typename Out, typename PerUserFn>
 StatusOr<std::vector<Out>> BatchReleaseEngine::RunBatch(

@@ -57,13 +57,6 @@ class BatchReleaseEngine {
     /// conditional distribution (see PoiPolicy); rejection additionally
     /// reproduces the paper loop draw-for-draw.
     std::optional<PoiPolicy> poi_policy;
-    /// How the domain's weight-row caches are shared across the worker
-    /// threads; unset → leave the domain's current mode (default
-    /// kSharded). Applied to the perturber's domain at construction.
-    /// Draws are bit-identical in every mode (rows are pure functions of
-    /// (region, ε′)); this knob trades lock/coherence traffic against
-    /// per-thread memory — see docs/PERF.md.
-    std::optional<NgramDomain::CacheMode> cache_mode;
   };
 
   /// Perturb-only engine. `perturber` (and the domain/graph/distance

@@ -1,5 +1,6 @@
 #include "core/mechanism.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -13,8 +14,8 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   if (config.n < 1) {
     return Status::InvalidArgument("n must be >= 1");
   }
-  if (!(config.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!(config.epsilon > 0.0) || !std::isfinite(config.epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
 
   NGramMechanism mech;

@@ -1,6 +1,6 @@
 #include "core/ngram_domain.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <mutex>
@@ -46,44 +46,16 @@ void NgramDomain::ComputeSuffixRow(const std::vector<double>& weight_row,
   }
 }
 
-NgramDomain::Stripe& NgramDomain::StripeFor(const RowKey& key) const {
-  if (cache_mode_.load(std::memory_order_relaxed) == CacheMode::kShared) {
-    return stripes_[0];  // legacy single-lock layout, exact global LRU
-  }
-  // Spread with the high bits of the key hash so the stripe index is
-  // decorrelated from the map's bucket index (which uses the low bits).
-  const size_t h = RowKeyHash{}(key);
-  return stripes_[(h >> 48) & (kCacheStripes - 1)];
-}
-
-size_t NgramDomain::StripeCapacity() const {
-  const size_t capacity = cache_capacity_.load(std::memory_order_relaxed);
-  if (capacity == 0) return 0;  // unbounded
-  if (cache_mode_.load(std::memory_order_relaxed) == CacheMode::kShared) {
-    return capacity;  // one stripe holds everything: the cap is exact
-  }
-  // Even split; at least one row per stripe so a tiny cap cannot turn a
-  // stripe into a compute-every-time stripe.
-  return std::max<size_t>(1, capacity / kCacheStripes);
-}
-
 template <typename ComputeFn>
-NgramDomain::RowPtr NgramDomain::LookupOrCompute(Stripe& stripe,
-                                                 bool suffix_cache,
+NgramDomain::RowPtr NgramDomain::LookupOrCompute(RowCache& cache,
                                                  const RowKey& key,
                                                  ComputeFn&& compute) const {
-  RowCache& cache = suffix_cache ? stripe.suffix_cache : stripe.weight_cache;
-  std::atomic<size_t>& hits =
-      suffix_cache ? stripe.suffix_hits : stripe.weight_hits;
-  std::atomic<size_t>& misses =
-      suffix_cache ? stripe.suffix_misses : stripe.weight_misses;
-
   const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed);
   {
-    std::shared_lock<std::shared_mutex> lock(stripe.mu);
-    const auto it = cache.find(key);
-    if (it != cache.end()) {
-      hits.fetch_add(1, std::memory_order_relaxed);
+    std::shared_lock<std::shared_mutex> lock(cache_mu_);
+    const auto it = cache.map.find(key);
+    if (it != cache.map.end()) {
+      cache.hits.fetch_add(1, std::memory_order_relaxed);
       it->second->last_used.store(tick, std::memory_order_relaxed);
       return it->second->row;
     }
@@ -95,32 +67,29 @@ NgramDomain::RowPtr NgramDomain::LookupOrCompute(Stripe& stripe,
   auto entry = std::make_unique<CacheEntry>();
   entry->row = std::move(computed);
   entry->last_used.store(tick, std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> lock(stripe.mu);
-  const auto [it, inserted] = cache.try_emplace(key, std::move(entry));
-  (inserted ? misses : hits).fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<std::shared_mutex> lock(cache_mu_);
+  const auto [it, inserted] = cache.map.try_emplace(key, std::move(entry));
+  (inserted ? cache.misses : cache.hits)
+      .fetch_add(1, std::memory_order_relaxed);
   it->second->last_used.store(tick, std::memory_order_relaxed);
   RowPtr row = it->second->row;
   if (inserted) {
-    std::atomic<size_t>& rows =
-        suffix_cache ? stripe.suffix_rows : stripe.weight_rows;
-    std::atomic<size_t>& evictions =
-        suffix_cache ? stripe.suffix_evictions : stripe.weight_evictions;
-    rows.fetch_add(1, std::memory_order_relaxed);
-    EvictOverCapacity(cache, StripeCapacity(), rows, evictions);
+    cache.rows.fetch_add(1, std::memory_order_relaxed);
+    EvictOverCapacity(cache);
   }
   return row;
 }
 
-void NgramDomain::EvictOverCapacity(RowCache& cache, size_t capacity,
-                                    std::atomic<size_t>& rows,
-                                    std::atomic<size_t>& evictions) const {
+void NgramDomain::EvictOverCapacity(RowCache& cache) const {
+  const size_t capacity = cache_capacity_.load(std::memory_order_relaxed);
   if (capacity == 0) return;
   // The scan is O(occupancy) but runs only on an over-capacity insert,
   // where occupancy ≤ capacity + 1 — bounded by construction.
-  while (cache.size() > capacity) {
-    auto victim = cache.begin();
+  while (cache.map.size() > capacity) {
+    auto victim = cache.map.begin();
     uint64_t oldest = victim->second->last_used.load(std::memory_order_relaxed);
-    for (auto it = std::next(cache.begin()); it != cache.end(); ++it) {
+    for (auto it = std::next(cache.map.begin()); it != cache.map.end();
+         ++it) {
       const uint64_t used =
           it->second->last_used.load(std::memory_order_relaxed);
       if (used < oldest) {
@@ -128,9 +97,9 @@ void NgramDomain::EvictOverCapacity(RowCache& cache, size_t capacity,
         victim = it;
       }
     }
-    cache.erase(victim);  // pinned borrowers keep the row alive
-    rows.fetch_sub(1, std::memory_order_relaxed);
-    evictions.fetch_add(1, std::memory_order_relaxed);
+    cache.map.erase(victim);  // pinned borrowers keep the row alive
+    cache.rows.fetch_sub(1, std::memory_order_relaxed);
+    cache.evictions.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -138,136 +107,47 @@ NgramDomain::RowPtr NgramDomain::CachedWeightRow(RegionId r,
                                                  double scale) const {
   const RowKey key{r, std::bit_cast<uint64_t>(scale)};
   return LookupOrCompute(
-      StripeFor(key), /*suffix_cache=*/false, key,
+      weight_cache_, key,
       [&](std::vector<double>& row) { ComputeWeightRow(r, scale, row); });
 }
 
 NgramDomain::RowPtr NgramDomain::CachedSuffixRow(RegionId r,
                                                  double scale) const {
   const RowKey key{r, std::bit_cast<uint64_t>(scale)};
-  return LookupOrCompute(
-      StripeFor(key), /*suffix_cache=*/true, key,
-      [&](std::vector<double>& row) {
-        ComputeSuffixRow(*CachedWeightRow(r, scale), row);
-      });
-}
-
-void NgramDomain::set_cache_mode(CacheMode mode) const {
-  if (cache_mode_.exchange(mode, std::memory_order_relaxed) == mode) return;
-  // A mode switch reshuffles which stripe owns which key; drop everything
-  // so no stale stripe pins memory it will never serve from again.
-  ClearCache();
+  return LookupOrCompute(suffix_cache_, key, [&](std::vector<double>& row) {
+    ComputeSuffixRow(*CachedWeightRow(r, scale), row);
+  });
 }
 
 void NgramDomain::set_cache_capacity(size_t max_rows) {
+  std::unique_lock<std::shared_mutex> lock(cache_mu_);
   cache_capacity_.store(max_rows, std::memory_order_relaxed);
   // Shrinking must free memory now, not on the next insert.
-  const size_t per_stripe = StripeCapacity();
-  for (Stripe& stripe : stripes_) {
-    std::unique_lock<std::shared_mutex> lock(stripe.mu);
-    EvictOverCapacity(stripe.weight_cache, per_stripe, stripe.weight_rows,
-                      stripe.weight_evictions);
-    EvictOverCapacity(stripe.suffix_cache, per_stripe, stripe.suffix_rows,
-                      stripe.suffix_evictions);
-  }
+  EvictOverCapacity(weight_cache_);
+  EvictOverCapacity(suffix_cache_);
 }
 
 void NgramDomain::ClearCache() const {
-  for (Stripe& stripe : stripes_) {
-    std::unique_lock<std::shared_mutex> lock(stripe.mu);
-    stripe.weight_cache.clear();
-    stripe.suffix_cache.clear();
-    stripe.weight_rows.store(0, std::memory_order_relaxed);
-    stripe.suffix_rows.store(0, std::memory_order_relaxed);
+  std::unique_lock<std::shared_mutex> lock(cache_mu_);
+  for (RowCache* cache : {&weight_cache_, &suffix_cache_}) {
+    cache->map.clear();
+    cache->rows.store(0, std::memory_order_relaxed);
   }
-  // Per-thread replicas clear themselves at their next draw.
-  clear_generation_.fetch_add(1, std::memory_order_release);
 }
 
-NgramDomain::CacheStats NgramDomain::cache_stats() const {
+CacheStats NgramDomain::cache_stats() const {
   CacheStats stats;
-  for (const Stripe& stripe : stripes_) {
-    stats.weight_rows += stripe.weight_rows.load(std::memory_order_relaxed);
-    stats.suffix_rows += stripe.suffix_rows.load(std::memory_order_relaxed);
-    stats.weight_hits += stripe.weight_hits.load(std::memory_order_relaxed);
-    stats.weight_misses +=
-        stripe.weight_misses.load(std::memory_order_relaxed);
-    stats.suffix_hits += stripe.suffix_hits.load(std::memory_order_relaxed);
-    stats.suffix_misses +=
-        stripe.suffix_misses.load(std::memory_order_relaxed);
-    stats.weight_evictions +=
-        stripe.weight_evictions.load(std::memory_order_relaxed);
-    stats.suffix_evictions +=
-        stripe.suffix_evictions.load(std::memory_order_relaxed);
-  }
+  stats.weight_rows = weight_cache_.rows.load(std::memory_order_relaxed);
+  stats.suffix_rows = suffix_cache_.rows.load(std::memory_order_relaxed);
+  stats.weight_hits = weight_cache_.hits.load(std::memory_order_relaxed);
+  stats.weight_misses = weight_cache_.misses.load(std::memory_order_relaxed);
+  stats.suffix_hits = suffix_cache_.hits.load(std::memory_order_relaxed);
+  stats.suffix_misses = suffix_cache_.misses.load(std::memory_order_relaxed);
+  stats.weight_evictions =
+      weight_cache_.evictions.load(std::memory_order_relaxed);
+  stats.suffix_evictions =
+      suffix_cache_.evictions.load(std::memory_order_relaxed);
   return stats;
-}
-
-void NgramDomain::SyncReplica(ThreadCacheReplica& rep) const {
-  const uint64_t gen = clear_generation_.load(std::memory_order_acquire);
-  if (rep.clear_generation_ != gen) {
-    rep.weight_.clear();
-    rep.suffix_.clear();
-    rep.clear_generation_ = gen;
-  }
-}
-
-void NgramDomain::EvictReplicaOverCapacity(ThreadCacheReplica::Map& map,
-                                           size_t capacity,
-                                           size_t& evictions) {
-  if (capacity == 0) return;
-  while (map.size() > capacity) {
-    auto victim = map.begin();
-    for (auto it = std::next(map.begin()); it != map.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    map.erase(victim);  // pinned borrowers keep the row alive
-    ++evictions;
-  }
-}
-
-NgramDomain::RowPtr NgramDomain::ReplicaWeightRow(ThreadCacheReplica& rep,
-                                                  RegionId r,
-                                                  double scale) const {
-  const RowKey key{r, std::bit_cast<uint64_t>(scale)};
-  const uint64_t tick = ++rep.tick_;
-  if (const auto it = rep.weight_.find(key); it != rep.weight_.end()) {
-    ++rep.stats_.weight_hits;
-    it->second.last_used = tick;
-    return it->second.row;
-  }
-  auto computed = std::make_shared<std::vector<double>>();
-  ComputeWeightRow(r, scale, *computed);
-  RowPtr row = computed;
-  rep.weight_.emplace(
-      key, ThreadCacheReplica::Entry{std::move(computed), tick});
-  ++rep.stats_.weight_misses;
-  EvictReplicaOverCapacity(rep.weight_,
-                           cache_capacity_.load(std::memory_order_relaxed),
-                           rep.stats_.weight_evictions);
-  return row;
-}
-
-NgramDomain::RowPtr NgramDomain::ReplicaSuffixRow(ThreadCacheReplica& rep,
-                                                  RegionId r,
-                                                  double scale) const {
-  const RowKey key{r, std::bit_cast<uint64_t>(scale)};
-  const uint64_t tick = ++rep.tick_;
-  if (const auto it = rep.suffix_.find(key); it != rep.suffix_.end()) {
-    ++rep.stats_.suffix_hits;
-    it->second.last_used = tick;
-    return it->second.row;
-  }
-  auto computed = std::make_shared<std::vector<double>>();
-  ComputeSuffixRow(*ReplicaWeightRow(rep, r, scale), *computed);
-  RowPtr row = computed;
-  rep.suffix_.emplace(
-      key, ThreadCacheReplica::Entry{std::move(computed), tick});
-  ++rep.stats_.suffix_misses;
-  EvictReplicaOverCapacity(rep.suffix_,
-                           cache_capacity_.load(std::memory_order_relaxed),
-                           rep.stats_.suffix_evictions);
-  return row;
 }
 
 Status NgramDomain::SampleInto(std::span<const RegionId> input,
@@ -277,8 +157,8 @@ Status NgramDomain::SampleInto(std::span<const RegionId> input,
   if (n == 0) {
     return Status::InvalidArgument("cannot perturb an empty n-gram");
   }
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   const size_t num_regions = graph_->num_regions();
   if (num_regions == 0) {
@@ -287,42 +167,25 @@ Status NgramDomain::SampleInto(std::span<const RegionId> input,
 
   // Per-slot EM weights: weight_k[r] = exp(−ε′ · d(x_k, r) / (2Δd_w)),
   // with Δd_w = n·Δd the n-gram sensitivity — exactly eq. 6 in factored
-  // form. Rows come from the cache in effect (shared stripe, sharded
-  // stripes, or the thread's replica) or the workspace when caching is
-  // off; the arithmetic is identical in every arrangement, so mode and
-  // enablement change throughput only, never draws.
+  // form. Rows come from the cache or, when caching is off, the
+  // workspace; the arithmetic is identical either way, so enablement
+  // changes throughput only, never draws.
   const double scale = epsilon / (2.0 * Sensitivity(static_cast<int>(n)));
   ws.rows.resize(n);
   std::span<const double> suffix;
   ws.pins.clear();
   if (cache_enabled_) {
     // Pins hold shared ownership until the draw completes, so an LRU
-    // eviction — by another thread on a shared stripe, or by this very
-    // draw's later lookups on a capacity-capped replica — can never
-    // free a row mid-sample.
+    // eviction — by another thread, or by this draw's own later lookups
+    // under a small cap — can never free a row mid-sample.
     ws.pins.reserve(n + 1);
-    if (cache_mode_.load(std::memory_order_relaxed) ==
-        CacheMode::kPerThread) {
-      if (!ws.replica) ws.replica = std::make_unique<ThreadCacheReplica>();
-      ThreadCacheReplica& rep = *ws.replica;
-      SyncReplica(rep);
-      for (size_t k = 0; k < n; ++k) {
-        ws.pins.push_back(ReplicaWeightRow(rep, input[k], scale));
-        ws.rows[k] = ws.pins.back()->data();
-      }
-      if (n >= 2) {
-        ws.pins.push_back(ReplicaSuffixRow(rep, input[n - 1], scale));
-        suffix = *ws.pins.back();
-      }
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        ws.pins.push_back(CachedWeightRow(input[k], scale));
-        ws.rows[k] = ws.pins.back()->data();
-      }
-      if (n >= 2) {
-        ws.pins.push_back(CachedSuffixRow(input[n - 1], scale));
-        suffix = *ws.pins.back();
-      }
+    for (size_t k = 0; k < n; ++k) {
+      ws.pins.push_back(CachedWeightRow(input[k], scale));
+      ws.rows[k] = ws.pins.back()->data();
+    }
+    if (n >= 2) {
+      ws.pins.push_back(CachedSuffixRow(input[n - 1], scale));
+      suffix = *ws.pins.back();
     }
   } else {
     if (ws.scratch.size() < n + 1) ws.scratch.resize(n + 1);

@@ -1,12 +1,9 @@
 #ifndef TRAJLDP_CORE_NGRAM_DOMAIN_H_
 #define TRAJLDP_CORE_NGRAM_DOMAIN_H_
 
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -21,8 +18,7 @@
 namespace trajldp::core {
 
 /// Cache occupancy, hit, and eviction counters (diagnostics & tests).
-/// Read lock-free: every counter is maintained by per-stripe (or
-/// per-replica) atomics and summed on read.
+/// Read lock-free: every counter is an atomic in the domain.
 struct CacheStats {
   size_t weight_rows = 0;
   size_t suffix_rows = 0;
@@ -32,72 +28,6 @@ struct CacheStats {
   size_t suffix_misses = 0;
   size_t weight_evictions = 0;
   size_t suffix_evictions = 0;
-};
-
-namespace cache_internal {
-
-/// Cache key of one EM weight (or suffix) row: the true region and the
-/// bit pattern of the per-draw scale ε′ / (2Δd_w).
-struct RowKey {
-  uint32_t region;
-  uint64_t scale_bits;
-  bool operator==(const RowKey&) const = default;
-};
-struct RowKeyHash {
-  size_t operator()(const RowKey& key) const {
-    uint64_t h = key.scale_bits * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-    h += static_cast<uint64_t>(key.region) * 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 32;
-    return static_cast<size_t>(h);
-  }
-};
-using RowPtr = std::shared_ptr<const std::vector<double>>;
-
-}  // namespace cache_internal
-
-/// \brief A thread-private replica of the domain's row caches, used
-/// under NgramDomain::CacheMode::kPerThread.
-///
-/// One replica lives in each SamplerWorkspace (i.e. one per worker
-/// thread), so replica-mode lookups take no lock and touch no shared
-/// cache line — the cross-core invalidation traffic of a shared cache
-/// disappears entirely, at the cost of one row copy per thread that
-/// uses it. Rows are pure functions of (region, scale), so replicas
-/// never disagree and draws stay bit-identical to every other mode.
-///
-/// Replicas honour the domain's cache_capacity() (each replica holds up
-/// to capacity rows per cache — total memory is threads × capacity) and
-/// its ClearCache() generation (a cleared domain empties each replica at
-/// that replica's next draw). Counters are plain (single-owner) and
-/// surface through stats(); NgramDomain::cache_stats() deliberately does
-/// NOT include replica counters, since the domain cannot reach into
-/// other threads' workspaces.
-class ThreadCacheReplica {
- public:
-  CacheStats stats() const {
-    CacheStats out = stats_;
-    out.weight_rows = weight_.size();
-    out.suffix_rows = suffix_.size();
-    return out;
-  }
-
- private:
-  friend class NgramDomain;
-  struct Entry {
-    cache_internal::RowPtr row;
-    uint64_t last_used = 0;
-  };
-  using Map =
-      std::unordered_map<cache_internal::RowKey, Entry,
-                         cache_internal::RowKeyHash>;
-
-  Map weight_;
-  Map suffix_;
-  uint64_t tick_ = 0;
-  /// The domain clear generation this replica last synchronised with.
-  uint64_t clear_generation_ = 0;
-  CacheStats stats_;
 };
 
 /// \brief Reusable buffers for the path-EM sampler. One per thread.
@@ -121,9 +51,6 @@ struct SamplerWorkspace {
   /// so an LRU eviction on another thread can never free a row this
   /// thread's sampler is still reading.
   std::vector<std::shared_ptr<const std::vector<double>>> pins;
-  /// Thread-private row caches, created lazily by the first draw under
-  /// CacheMode::kPerThread (null and unused in every other mode).
-  std::unique_ptr<ThreadCacheReplica> replica;
 };
 
 /// Exact exponential-mechanism sampling of one walk from a directed graph
@@ -280,56 +207,29 @@ StatusOr<std::vector<uint32_t>> SamplePathEm(
 /// disabling the cache (set_cache_enabled(false)) changes nothing but
 /// speed.
 ///
-/// ### Cache modes (contention at real thread counts)
+/// ### Cache layout
 ///
-/// How the cache is shared across threads is selectable (CacheMode), and
-/// — because every row is a pure function of (region, scale) — the mode
-/// changes contention and memory, never draws:
-///
-///  * kShared  — one stripe behind one shared_mutex, exactly the legacy
-///    layout: global exact-LRU under a capacity cap, simplest to reason
-///    about, but every core bounces the same lock and cache lines.
-///  * kSharded — the default: keys are hashed over kCacheStripes
-///    independent stripes, each with its own shared_mutex and maps.
-///    Threads touching different rows take different locks, so lock
-///    contention and cross-core invalidation fall by ~the stripe count.
-///    LRU is exact per stripe; a capacity cap is split evenly across
-///    stripes (occupancy bound: max(capacity, kCacheStripes) rows).
-///  * kPerThread — each SamplerWorkspace carries a private
-///    ThreadCacheReplica: no locks, no shared cache lines at all, at the
-///    cost of one row copy per thread (memory: threads × capacity rows).
-///    The mode for high worker counts where even sharded stripes show
-///    coherence traffic.
-///
-/// Every per-stripe counter is atomic, so cache_stats() is lock-free.
+/// Both caches sit behind one shared_mutex: a lookup takes it shared, a
+/// miss computes its row outside the lock and takes it exclusively only
+/// to insert. Every counter is atomic, so cache_stats() takes no lock.
+/// Lock striping and per-thread copies were measured against this
+/// layout and were no faster (docs/PERF.md §"Domain cache"); no layout
+/// can change a draw, since every row is a pure function of
+/// (region, scale).
 ///
 /// ### LRU cap (per-user ε workloads)
 ///
 /// Under a fixed collector policy the key space is |R| and the caches
 /// plateau, but when users bring their own ε (so every trajectory-length
 /// × ε combination mints a new scale), the key space is unbounded.
-/// set_cache_capacity(k) caps EACH cache at k rows with least-recently-
-/// used eviction. Rows are shared_ptr-owned and samplers pin them for
-/// the duration of a draw, so eviction never invalidates a row in
-/// flight; a re-computed row is bit-identical to the evicted one (a pure
-/// function of (region, scale)), so capping — like disabling — changes
-/// memory and speed, never draws.
+/// set_cache_capacity(k) caps EACH cache at exactly k rows with global
+/// least-recently-used eviction. Rows are shared_ptr-owned and samplers
+/// pin them for the duration of a draw, so eviction never invalidates a
+/// row in flight; a re-computed row is bit-identical to the evicted one
+/// (a pure function of (region, scale)), so capping — like disabling —
+/// changes memory and speed, never draws.
 class NgramDomain {
  public:
-  using CacheStats = ::trajldp::core::CacheStats;
-
-  /// How the row caches are shared across threads (see class comment).
-  enum class CacheMode : uint8_t {
-    kShared = 0,
-    kSharded = 1,
-    kPerThread = 2,
-  };
-
-  /// Stripe count of CacheMode::kSharded. A power of two; 16 stripes
-  /// keep the per-stripe collision probability low through the thread
-  /// counts a single NUMA node realistically runs.
-  static constexpr size_t kCacheStripes = 16;
-
   /// `graph` and `distance` must outlive this object and refer to the
   /// same decomposition.
   NgramDomain(const region::RegionGraph* graph,
@@ -346,7 +246,7 @@ class NgramDomain {
   /// Allocation-free variant: scratch lives in `ws`, the sampled n-gram
   /// is written into `out` (resized to input.size()). Safe to call
   /// concurrently from multiple threads as long as each thread passes its
-  /// own workspace and Rng.
+  /// own workspace and Rng. `epsilon` must be positive and finite.
   Status SampleInto(std::span<const region::RegionId> input, double epsilon,
                     Rng& rng, SamplerWorkspace& ws,
                     std::vector<region::RegionId>& out) const;
@@ -367,28 +267,11 @@ class NgramDomain {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// Selects how the caches are shared across threads (default:
-  /// kSharded). Draws are bit-identical in every mode; only contention,
-  /// memory, and stats attribution change. Switching modes drops every
-  /// cached row (stripes are cleared here, per-thread replicas clear at
-  /// their next draw) so stale stripes can never pin memory. Const
-  /// because the cache is transparent state, like ClearCache(); not
-  /// thread-safe against concurrent SampleInto calls — select the mode
-  /// before fanning work out (BatchReleaseEngine::Config and
-  /// StreamingCollector::Config do exactly that).
-  void set_cache_mode(CacheMode mode) const;
-  CacheMode cache_mode() const {
-    return cache_mode_.load(std::memory_order_relaxed);
-  }
-
-  /// Caps each row cache at `max_rows` entries with LRU eviction
-  /// (0, the default, = unbounded). Safe to call concurrently with
-  /// SampleInto: in-flight draws hold pins on any rows they borrowed, so
-  /// shrinking the cap mid-draw frees memory without invalidating a row
-  /// being read. Per mode: kShared enforces the cap exactly (global
-  /// LRU); kSharded splits it evenly across stripes (per-stripe exact
-  /// LRU, occupancy ≤ max(max_rows, kCacheStripes)); kPerThread caps
-  /// each thread's replica at max_rows (total memory threads × cap).
+  /// Caps each row cache at exactly `max_rows` entries with global LRU
+  /// eviction (0, the default, = unbounded). Safe to call concurrently
+  /// with SampleInto: in-flight draws hold pins on any rows they
+  /// borrowed, so shrinking the cap mid-draw frees memory without
+  /// invalidating a row being read.
   void set_cache_capacity(size_t max_rows);
   size_t cache_capacity() const {
     return cache_capacity_.load(std::memory_order_relaxed);
@@ -400,23 +283,33 @@ class NgramDomain {
   /// draw, so a concurrent clear frees no memory still being read — an
   /// in-flight draw simply completes on the rows it pinned (bit-
   /// identical, rows being pure functions of (region, scale)), and later
-  /// draws recompute. Per-thread replicas observe the clear at their
-  /// next draw via a generation counter.
+  /// draws recompute.
   void ClearCache() const;
 
-  /// Aggregated counters over every stripe. Lock-free (per-stripe
-  /// atomics). Under kPerThread the stripes are idle — per-replica
-  /// counters live in each SamplerWorkspace (ThreadCacheReplica::stats)
-  /// and are NOT included here.
+  /// Occupancy, hit, and eviction counters of both caches. Lock-free.
   CacheStats cache_stats() const;
 
   const region::RegionGraph& graph() const { return *graph_; }
   const region::RegionDistance& distance() const { return *distance_; }
 
  private:
-  using RowKey = cache_internal::RowKey;
-  using RowKeyHash = cache_internal::RowKeyHash;
-  using RowPtr = cache_internal::RowPtr;
+  /// Cache key of one EM weight (or suffix) row: the true region and the
+  /// bit pattern of the per-draw scale ε′ / (2Δd_w).
+  struct RowKey {
+    uint32_t region;
+    uint64_t scale_bits;
+    bool operator==(const RowKey&) const = default;
+  };
+  struct RowKeyHash {
+    size_t operator()(const RowKey& key) const {
+      uint64_t h = key.scale_bits * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 29;
+      h += static_cast<uint64_t>(key.region) * 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 32;
+      return static_cast<size_t>(h);
+    }
+  };
+  using RowPtr = std::shared_ptr<const std::vector<double>>;
 
   /// A cached row plus its LRU clock. Rows are shared_ptr-owned so
   /// borrowers pin them across evictions; unique_ptr entries keep the
@@ -427,26 +320,15 @@ class NgramDomain {
     /// relaxed: an approximate order is all LRU needs).
     std::atomic<uint64_t> last_used{0};
   };
-  using RowCache =
-      std::unordered_map<RowKey, std::unique_ptr<CacheEntry>, RowKeyHash>;
 
-  /// One lock-domain of the sharded cache: its own mutex, both row maps,
-  /// and every counter the maps feed — all atomics, so stats reads never
-  /// take the lock. Cache-line-aligned so stripe counters on adjacent
-  /// stripes never share a line (the whole point of sharding is killing
-  /// cross-core invalidation traffic).
-  struct alignas(64) Stripe {
-    mutable std::shared_mutex mu;
-    RowCache weight_cache;
-    RowCache suffix_cache;
-    std::atomic<size_t> weight_rows{0};
-    std::atomic<size_t> suffix_rows{0};
-    std::atomic<size_t> weight_hits{0};
-    std::atomic<size_t> weight_misses{0};
-    std::atomic<size_t> suffix_hits{0};
-    std::atomic<size_t> suffix_misses{0};
-    std::atomic<size_t> weight_evictions{0};
-    std::atomic<size_t> suffix_evictions{0};
+  /// One row cache: its map, guarded by cache_mu_, and every counter the
+  /// map feeds — atomics, so cache_stats() never takes the lock.
+  struct RowCache {
+    std::unordered_map<RowKey, std::unique_ptr<CacheEntry>, RowKeyHash> map;
+    std::atomic<size_t> rows{0};
+    std::atomic<size_t> hits{0};
+    std::atomic<size_t> misses{0};
+    std::atomic<size_t> evictions{0};
   };
 
   /// exp(−scale·d(r, ·)) over the cached float distance row.
@@ -456,52 +338,31 @@ class NgramDomain {
   void ComputeSuffixRow(const std::vector<double>& weight_row,
                         std::vector<double>& out) const;
 
-  /// The stripe a key lives in: stripe 0 under kShared (legacy single-
-  /// lock layout), hash-spread under kSharded.
-  Stripe& StripeFor(const RowKey& key) const;
-  /// The per-stripe LRU budget implied by cache_capacity() and the mode.
-  size_t StripeCapacity() const;
-
-  /// Double-checked cache protocol shared by both row caches of a
-  /// stripe: shared-lock lookup, compute outside any lock on miss,
-  /// try_emplace under the unique lock (a racing thread's identical row
-  /// wins ties), then LRU eviction down to the stripe budget.
+  /// Double-checked cache protocol shared by both row caches: shared-lock
+  /// lookup, compute outside any lock on miss, try_emplace under the
+  /// unique lock (a racing thread's identical row wins ties), then LRU
+  /// eviction down to cache_capacity().
   template <typename ComputeFn>
-  RowPtr LookupOrCompute(Stripe& stripe, bool suffix_cache,
-                         const RowKey& key, ComputeFn&& compute) const;
+  RowPtr LookupOrCompute(RowCache& cache, const RowKey& key,
+                         ComputeFn&& compute) const;
 
-  /// Drops least-recently-used entries until `cache` fits `capacity`.
-  /// Caller holds the stripe's unique lock.
-  void EvictOverCapacity(RowCache& cache, size_t capacity,
-                         std::atomic<size_t>& rows,
-                         std::atomic<size_t>& evictions) const;
+  /// Drops least-recently-used entries until `cache` fits
+  /// cache_capacity(). Caller holds cache_mu_ exclusively.
+  void EvictOverCapacity(RowCache& cache) const;
 
   RowPtr CachedWeightRow(region::RegionId r, double scale) const;
   RowPtr CachedSuffixRow(region::RegionId r, double scale) const;
-
-  /// Replica-mode lookups (no locks; `rep` is owned by the calling
-  /// thread's workspace). SyncReplica applies a pending ClearCache / mode
-  /// switch generation before the draw borrows any row.
-  void SyncReplica(ThreadCacheReplica& rep) const;
-  RowPtr ReplicaWeightRow(ThreadCacheReplica& rep, region::RegionId r,
-                          double scale) const;
-  RowPtr ReplicaSuffixRow(ThreadCacheReplica& rep, region::RegionId r,
-                          double scale) const;
-  static void EvictReplicaOverCapacity(ThreadCacheReplica::Map& map,
-                                       size_t capacity, size_t& evictions);
 
   const region::RegionGraph* graph_;
   const region::RegionDistance* distance_;
   double sensitivity_override_;
 
   bool cache_enabled_ = true;
-  mutable std::atomic<CacheMode> cache_mode_{CacheMode::kSharded};
-  mutable std::array<Stripe, kCacheStripes> stripes_;
-  mutable std::atomic<size_t> cache_capacity_{0};  // 0 = unbounded
+  mutable std::shared_mutex cache_mu_;
+  mutable RowCache weight_cache_;
+  mutable RowCache suffix_cache_;
+  std::atomic<size_t> cache_capacity_{0};  // 0 = unbounded
   mutable std::atomic<uint64_t> lru_tick_{0};
-  /// Bumped by ClearCache()/set_cache_mode(); per-thread replicas clear
-  /// themselves when they observe a new generation.
-  mutable std::atomic<uint64_t> clear_generation_{0};
 };
 
 }  // namespace trajldp::core

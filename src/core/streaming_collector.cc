@@ -60,9 +60,6 @@ StreamingCollector::StreamingCollector(const NGramMechanism* mechanism,
       on_frame_processed_(std::move(config.on_frame_processed)),
       queue_(config.queue_capacity),
       pool_(config.num_threads) {
-  if (config.cache_mode.has_value()) {
-    mechanism->domain().set_cache_mode(*config.cache_mode);
-  }
   domain_ = &mechanism->domain();
   RegisterMetrics(config);
   seen_users_.insert(config.pre_released_user_ids.begin(),

@@ -104,14 +104,6 @@ class StreamingCollector {
     /// shards running the same policy under the same seed merge
     /// bit-identically to one collector under that policy.
     std::optional<PoiPolicy> poi_policy;
-    /// How the domain's weight-row caches are shared across the worker
-    /// threads; unset → leave the domain's current mode (default
-    /// kSharded). Applied to the mechanism's domain at construction.
-    /// Like poi_policy this is collector-side configuration, never on
-    /// the wire, and it cannot affect released bytes: draws are
-    /// bit-identical in every mode (see NgramDomain::CacheMode), so K
-    /// shards may even run different modes and still merge bit-identically.
-    std::optional<NgramDomain::CacheMode> cache_mode;
     /// Drop (not fail) any report whose user id was already processed by
     /// this collector, counting it in duplicates_dropped(). The
     /// exactly-once backstop for journal replay and client re-uploads:

@@ -22,12 +22,12 @@ namespace trajldp::obs {
 ///
 /// The write side is the whole point: a hot-path `Counter::Add` or
 /// `Histogram::Observe` is one relaxed fetch_add on a cache-line-owned
-/// stripe (the PR 8 `kSharded` domain-cache pattern), so instruments
-/// stay on by default — the `metrics_overhead_ratio` gate in
-/// `BENCH_net.json` holds telemetered ingest within 1.05x of the
-/// untelemetered run. The read side (`Registry::Snapshot`) is slow-path
-/// and mutex-guarded; snapshots from K shards `MergeFrom` into one
-/// deterministic view, mirroring `StreamAnalytics::Merge`.
+/// stripe, so instruments stay on by default — the
+/// `metrics_overhead_ratio` gate in `BENCH_net.json` holds telemetered
+/// ingest within 1.05x of the untelemetered run. The read side
+/// (`Registry::Snapshot`) is slow-path and mutex-guarded; snapshots from
+/// K shards `MergeFrom` into one deterministic view, mirroring
+/// `StreamAnalytics::Merge`.
 
 struct Label {
   std::string key;

@@ -368,48 +368,6 @@ TEST_F(E2eBatchFixture, GuidedPolicyMatchesGuidedSequentialEveryThreadCount) {
   }
 }
 
-TEST_F(E2eBatchFixture, CacheModeMatrixIsBitIdenticalAtEveryThreadCount) {
-  // ISSUE 8 acceptance: {shared, sharded, per-thread-replica} × {1,2,8}
-  // threads × {rejection, guided} all equal the sequential reference —
-  // the cache arrangement may change contention and memory, never draws.
-  const uint64_t seed = 20260808;
-  const auto users = MakeUsers(24, 21);
-
-  for (const PoiPolicy policy : {PoiPolicy::kRejection, PoiPolicy::kGuided}) {
-    // Sequential reference under this policy.
-    const CollectorPipeline pipeline = mech_->pipeline(policy);
-    std::vector<FullRelease> expected(users.size());
-    PipelineWorkspace ws;
-    const Rng root(seed);
-    for (size_t i = 0; i < users.size(); ++i) {
-      Rng user_rng = root.Substream(i);
-      ASSERT_TRUE(
-          pipeline.ReleaseInto(users[i], user_rng, ws, expected[i]).ok());
-    }
-
-    for (const NgramDomain::CacheMode mode :
-         {NgramDomain::CacheMode::kShared, NgramDomain::CacheMode::kSharded,
-          NgramDomain::CacheMode::kPerThread}) {
-      for (const size_t threads : {1u, 2u, 8u}) {
-        BatchReleaseEngine::Config config;
-        config.num_threads = threads;
-        config.poi_policy = policy;
-        config.cache_mode = mode;
-        BatchReleaseEngine engine(mech_.get(), config);
-        auto batched = engine.ReleaseAllFull(users, seed);
-        ASSERT_TRUE(batched.ok())
-            << "mode " << static_cast<int>(mode) << " threads " << threads
-            << ": " << batched.status();
-        ExpectIdenticalReleases(*batched, expected);
-      }
-    }
-  }
-  // Leave the shared mechanism's domain in its default mode for the
-  // tests that run after this one.
-  mech_->perturber().domain().set_cache_mode(
-      NgramDomain::CacheMode::kSharded);
-}
-
 TEST_F(E2eBatchFixture, ReachabilityTableNeverChangesRejectionOutput) {
   // The table is exact-by-construction against the reachability formula,
   // so a mechanism built WITH it must release bit-identically to one

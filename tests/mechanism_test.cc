@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/mechanism.h"
 #include "model/semantic_distance.h"
 #include "test_world.h"
@@ -50,6 +52,10 @@ TEST_F(MechanismFixture, BuildValidatesConfig) {
   bad = DefaultConfig();
   bad.epsilon = -1.0;
   EXPECT_FALSE(NGramMechanism::Build(db_.get(), time_, bad).ok());
+  bad.epsilon = std::numeric_limits<double>::infinity();
+  auto infinite = NGramMechanism::Build(db_.get(), time_, bad);
+  ASSERT_FALSE(infinite.ok());
+  EXPECT_EQ(infinite.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(MechanismFixture, EndToEndProducesValidTrajectory) {

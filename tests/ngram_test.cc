@@ -244,10 +244,6 @@ TEST_F(NgramFixture, CacheRespectsDistinctEpsilonKeys) {
 TEST_F(NgramFixture, LruCapKeepsPerUserEpsilonWorkloadBounded) {
   constexpr size_t kCapacity = 6;
   NgramDomain capped(graph_.get(), distance_.get());
-  // The exact global cap only holds in the single-stripe mode; kSharded
-  // splits the budget per stripe (bound max(capacity, kCacheStripes),
-  // covered in cache_modes_test.cc).
-  capped.set_cache_mode(NgramDomain::CacheMode::kShared);
   capped.set_cache_capacity(kCapacity);
   EXPECT_EQ(capped.cache_capacity(), kCapacity);
   NgramDomain unbounded(graph_.get(), distance_.get());
@@ -281,9 +277,6 @@ TEST_F(NgramFixture, LruCapKeepsPerUserEpsilonWorkloadBounded) {
 
 TEST_F(NgramFixture, LruEvictsLeastRecentlyUsedKey) {
   NgramDomain domain(graph_.get(), distance_.get());
-  // Exact-LRU victim selection is a global property — pin the
-  // single-stripe mode so all keys share one LRU order.
-  domain.set_cache_mode(NgramDomain::CacheMode::kShared);
   domain.set_cache_capacity(2);
   const region::RegionId r0 = *decomp_->Lookup(0, 54);
 
@@ -307,8 +300,6 @@ TEST_F(NgramFixture, LruEvictsLeastRecentlyUsedKey) {
 
 TEST_F(NgramFixture, ShrinkingCapacityEvictsImmediately) {
   NgramDomain domain(graph_.get(), distance_.get());
-  // Pin kShared: "exactly 1 row survives" assumes one global LRU.
-  domain.set_cache_mode(NgramDomain::CacheMode::kShared);
   const region::RegionId r0 = *decomp_->Lookup(0, 54);
   Rng rng(6);
   for (const double epsilon : {1.0, 2.0, 3.0, 4.0}) {

@@ -80,7 +80,8 @@ TEST(MetricsRegistryTest, HistogramBoundsConflictReturnsBlackhole) {
   ASSERT_NE(conflict, nullptr);
   EXPECT_NE(conflict, first);
   conflict->Observe(1.5);
-  const MetricSnapshot* m = registry.Snapshot().Find("h");
+  const RegistrySnapshot snapshot = registry.Snapshot();
+  const MetricSnapshot* m = snapshot.Find("h");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->count, 0u);
 }
@@ -144,7 +145,8 @@ TEST(MetricsConcurrencyTest, SnapshotUnderConcurrentIncrements) {
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kThreads) * kPerThread;
   for (int i = 0; i < 50; ++i) {
-    const MetricSnapshot* m = registry.Snapshot().Find("spin_total");
+    const RegistrySnapshot snapshot = registry.Snapshot();
+    const MetricSnapshot* m = snapshot.Find("spin_total");
     ASSERT_NE(m, nullptr);
     const auto value = static_cast<std::uint64_t>(m->value);
     EXPECT_GE(value, last);

@@ -426,27 +426,49 @@ TEST_F(ReconstructionFixture, CreateValidatesInputs) {
 }
 
 TEST_F(ReconstructionFixture, InfeasibleCandidateSetReported) {
-  const auto z = RandomZ(2, 71);
-  // Find two regions with no edge either way, if any exist.
+  // The fixture's 360-minute regions all have self-edges, so build the
+  // case from the time constraint instead: at the time domain's own
+  // granularity no region has a self-edge, and two regions of the same
+  // interval have no edge either way.
+  region::DecompositionConfig config;
+  config.grid_size = 2;
+  config.coarse_grids = {1};
+  config.base_interval_minutes = 10;
+  config.merge.kappa = 1;
+  auto decomp = region::StcDecomposition::Build(db_.get(), time_, config);
+  ASSERT_TRUE(decomp.ok());
+  region::RegionDistance distance(&*decomp);
+  model::ReachabilityConfig reach;
+  reach.speed_kmh = 8.0;
+  reach.reference_gap_minutes = 60;
+  const auto graph = region::RegionGraph::Build(*decomp, reach);
+  NgramDomain domain(&graph, &distance);
+  NgramPerturber perturber(&domain, NgramPerturber::Config{2, 5.0});
+  const region::RegionTrajectory tau = {*decomp->Lookup(0, 60),
+                                        *decomp->Lookup(1, 66)};
+  Rng rng(71);
+  const auto z = perturber.Perturb(tau, rng);
+  ASSERT_TRUE(z.ok()) << z.status();
+
+  // Find two regions with no edge either way.
   region::RegionId a = region::kInvalidRegion, b = region::kInvalidRegion;
   for (region::RegionId x = 0;
-       x < decomp_->num_regions() && a == region::kInvalidRegion; ++x) {
-    for (region::RegionId y = 0; y < decomp_->num_regions(); ++y) {
-      if (x != y && !graph_->HasEdge(x, y) && !graph_->HasEdge(y, x) &&
-          !graph_->HasEdge(x, x) && !graph_->HasEdge(y, y)) {
+       x < decomp->num_regions() && a == region::kInvalidRegion; ++x) {
+    for (region::RegionId y = 0; y < decomp->num_regions(); ++y) {
+      if (x != y && !graph.HasEdge(x, y) && !graph.HasEdge(y, x) &&
+          !graph.HasEdge(x, x) && !graph.HasEdge(y, y)) {
         a = x;
         b = y;
         break;
       }
     }
   }
-  if (a == region::kInvalidRegion) {
-    GTEST_SKIP() << "graph too dense to craft an infeasible candidate set";
-  }
+  ASSERT_NE(a, region::kInvalidRegion)
+      << "no region pair without edges among " << decomp->num_regions();
   std::vector<region::RegionId> candidates = {std::min(a, b),
                                               std::max(a, b)};
-  auto problem = ReconstructionProblem::Create(distance_.get(), graph_.get(),
-                                               2, z, candidates);
+  auto problem =
+      ReconstructionProblem::Create(&distance, &graph, 2, *z, candidates);
   ASSERT_TRUE(problem.ok());
   ViterbiReconstructor viterbi;
   auto result = viterbi.Reconstruct(*problem);

@@ -230,48 +230,6 @@ TEST_F(StreamingFixture, GuidedPolicyShardsAreBitIdentical) {
   }
 }
 
-// ISSUE 8: StreamingCollector::Config.cache_mode selects the domain's
-// cache layout per collector — and because rows are pure functions of
-// (region, scale), shards running DIFFERENT modes still merge
-// bit-identically to the batch engine.
-TEST_F(StreamingFixture, ShardsWithMixedCacheModesMergeBitIdentically) {
-  const uint64_t seed = 20260808;
-  const auto users = MakeUsers(18, 8);
-  const auto reference = Reference(users, seed);
-  const auto reports = MakeReports(users, seed);
-
-  constexpr NgramDomain::CacheMode kModes[] = {
-      NgramDomain::CacheMode::kShared,
-      NgramDomain::CacheMode::kSharded,
-      NgramDomain::CacheMode::kPerThread,
-  };
-  const ShardPlan plan{3};
-  auto sharded = PartitionByShard(plan, io::ReportBatch(reports));
-  std::vector<std::vector<UserRelease>> outputs(sharded.size());
-  for (size_t s = 0; s < sharded.size(); ++s) {
-    StreamingCollector::Config config;
-    config.num_threads = 2;
-    config.queue_capacity = 2;
-    config.cache_mode = kModes[s % 3];  // a different mode per shard
-    StreamingCollector collector(
-        mech_.get(), seed,
-        [&outputs, s](UserRelease release) {
-          outputs[s].push_back(std::move(release));
-        },
-        config);
-    ASSERT_TRUE(collector.Push(io::ReportBatch(sharded[s])).ok());
-    ASSERT_TRUE(collector.Finish().ok());
-  }
-  auto merged = MergeShardReleases(std::move(outputs), reports.size());
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  ExpectIdenticalReleases(*merged, reference);
-
-  // Restore the default for the fixtures that follow (the collectors
-  // set the mode on the shared mechanism's domain).
-  mech_->perturber().domain().set_cache_mode(
-      NgramDomain::CacheMode::kSharded);
-}
-
 TEST_F(StreamingFixture, WireEncodedIngestIsBitIdentical) {
   const uint64_t seed = 123;
   const auto users = MakeUsers(12, 9);
