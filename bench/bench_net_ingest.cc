@@ -45,7 +45,6 @@
 #include "core/shard_plan.h"
 #include "core/streaming_collector.h"
 #include "io/wire.h"
-#include "net/framing.h"
 #include "net/ingest_server.h"
 #include "net/report_client.h"
 #include "net/socket.h"
@@ -470,10 +469,7 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
       char token = 0;
       if (!read_full(to_child[0], &token, 1) || token != 's') _exit(2);
       for (size_t i = 0; i < frames.size(); ++i) {
-        if (!net::WriteFrameToSocket(held[i % held.size()], frames[i])
-                 .ok()) {
-          _exit(4);
-        }
+        if (!net::SendAll(held[i % held.size()], frames[i]).ok()) _exit(4);
       }
       for (net::Socket& conn : held) conn.Close();
       token = 'd';

@@ -1,16 +1,9 @@
 #include "core/streaming_collector.h"
 
-#include <istream>
 #include <memory>
 #include <utility>
 
 namespace trajldp::core {
-
-IstreamFrameSource::IstreamFrameSource(std::istream* in) : reader_(in) {}
-
-Status IstreamFrameSource::Next(std::string* frame, bool* done) {
-  return reader_.Next(frame, done);
-}
 
 io::ReportBatch MakeWireReports(
     std::span<const region::RegionTrajectory> users,
@@ -185,10 +178,8 @@ Status StreamingCollector::PushEncoded(std::string frame, uint64_t stream_id,
   return Status::Ok();
 }
 
-Status StreamingCollector::PushEncodedFor(std::string& frame,
-                                          std::chrono::milliseconds timeout,
-                                          bool* accepted, uint64_t stream_id,
-                                          uint64_t seq) {
+Status StreamingCollector::TryPushEncoded(std::string& frame, bool* accepted,
+                                          uint64_t stream_id, uint64_t seq) {
   *accepted = false;
   if (finished_) {
     return Status::FailedPrecondition("Push after Finish on a collector");
@@ -196,28 +187,16 @@ Status StreamingCollector::PushEncodedFor(std::string& frame,
   TRAJLDP_RETURN_NOT_OK(FirstError());
   Item item{std::move(frame), stream_id, seq,
             std::chrono::steady_clock::now()};
-  switch (queue_.TryPushFor(item, timeout)) {
-    case QueuePushResult::kOk:
-      *accepted = true;
-      return Status::Ok();
-    case QueuePushResult::kTimeout:
-      frame = std::move(std::get<std::string>(item.payload));  // retried
-      return Status::Ok();
-    case QueuePushResult::kClosed:
-      frame = std::move(std::get<std::string>(item.payload));
-      return Status::FailedPrecondition("Push after Finish on a collector");
+  const QueuePushResult result = queue_.TryPush(item);
+  if (result == QueuePushResult::kOk) {
+    *accepted = true;
+    return Status::Ok();
   }
-  return Status::Internal("unreachable TryPushFor result");
-}
-
-Status StreamingCollector::IngestEncoded(FrameSource& source) {
-  for (;;) {
-    std::string frame;
-    bool done = false;
-    TRAJLDP_RETURN_NOT_OK(source.Next(&frame, &done));
-    if (done) return Status::Ok();
-    TRAJLDP_RETURN_NOT_OK(PushEncoded(std::move(frame)));
+  frame = std::move(std::get<std::string>(item.payload));  // back to caller
+  if (result == QueuePushResult::kClosed) {
+    return Status::FailedPrecondition("Push after Finish on a collector");
   }
+  return Status::Ok();
 }
 
 Status StreamingCollector::Finish() {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -33,34 +32,6 @@ io::ReportBatch MakeWireReports(
     std::span<const region::RegionTrajectory> users,
     std::vector<PerturbedNgramSet> perturbed, const NgramPerturber& perturber,
     uint64_t first_user_id = 0);
-
-/// \brief Where encoded report frames come from — the collector's
-/// transport seam. A source produces raw TLWB frames one at a time; the
-/// collector never needs to know whether they came off a file, a socket,
-/// or a test vector. Implementations: IstreamFrameSource (below),
-/// net::SocketFrameSource (a live TCP connection).
-class FrameSource {
- public:
-  virtual ~FrameSource() = default;
-
-  /// Produces the next raw frame. Sets `*done` at a clean end of the
-  /// source; a source cut off mid-frame is an error, not an end.
-  virtual Status Next(std::string* frame, bool* done) = 0;
-};
-
-/// A FrameSource over any std::istream of concatenated TLWB frames (a
-/// wire file, a pipe). Frames are forwarded raw; decode and validation
-/// happen on the collector's workers.
-class IstreamFrameSource final : public FrameSource {
- public:
-  /// `in` must outlive this source.
-  explicit IstreamFrameSource(std::istream* in);
-
-  Status Next(std::string* frame, bool* done) override;
-
- private:
-  io::RawFrameReader reader_;
-};
 
 /// \brief Streaming, bounded-memory ingest of ε-LDP report batches.
 ///
@@ -185,24 +156,15 @@ class StreamingCollector {
   Status PushEncoded(std::string frame, uint64_t stream_id = 0,
                      uint64_t seq = 0);
 
-  /// Timed PushEncoded for transports that must stay responsive while
-  /// the queue exerts backpressure (e.g. a server connection thread that
-  /// has to notice shutdown between attempts). On success `frame` is
-  /// consumed and `*accepted` is true; on a full queue it returns Ok
-  /// with `*accepted` false and `frame` intact, so the caller retries
-  /// the same frame without copying. Errors (latched worker error,
-  /// Finish already called) fail fast as Push does. Tag semantics as in
+  /// Non-blocking PushEncoded for transports that must never block on
+  /// backpressure (the ingest reactor). On success `frame` is consumed
+  /// and `*accepted` is true; on a full queue it returns Ok with
+  /// `*accepted` false and `frame` intact, so the caller retries the
+  /// same frame without copying. Errors (latched worker error, Finish
+  /// already called) fail fast as Push does. Tag semantics as in
   /// PushEncoded.
-  Status PushEncodedFor(std::string& frame, std::chrono::milliseconds timeout,
-                        bool* accepted, uint64_t stream_id = 0,
-                        uint64_t seq = 0);
-
-  /// Pulls frames from `source` until it reports a clean end, pushing
-  /// each through the ingest queue (so backpressure applies to the pull
-  /// loop itself). Returns the first source or ingest error; the source
-  /// is left wherever it was when the error surfaced. Does not Finish()
-  /// — a collector can drain several sources before finishing.
-  Status IngestEncoded(FrameSource& source);
+  Status TryPushEncoded(std::string& frame, bool* accepted,
+                        uint64_t stream_id = 0, uint64_t seq = 0);
 
   /// Signals end of stream, drains the queue, joins the workers, and
   /// returns the first error (Ok when every report released cleanly).

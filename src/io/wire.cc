@@ -499,86 +499,64 @@ Status WireWriter::WriteBatch(std::span<const WireReport> batch) {
   return Status::Ok();
 }
 
-Status WireReader::Next(ReportBatch* out, bool* done) {
-  *done = false;
-  if (in_ == nullptr) {
-    return Status::InvalidArgument("WireReader has no input stream");
-  }
-  std::string header(kWireHeaderBytes, '\0');
-  in_->read(header.data(), static_cast<std::streamsize>(header.size()));
-  const auto got = static_cast<size_t>(in_->gcount());
-  if (got == 0 && in_->eof()) {
-    *done = true;  // clean end of stream, exactly between frames
-    return Status::Ok();
-  }
-  if (got < header.size()) {
-    return Status::InvalidArgument(
-        "wire stream truncated inside a frame header");
-  }
-  WireFrameInfo frame;
-  TRAJLDP_RETURN_NOT_OK(DecodeHeader(header, &frame));
-
-  std::string rest(static_cast<size_t>(frame.payload_bytes) +
-                       kWireTrailerBytes,
-                   '\0');
-  in_->read(rest.data(), static_cast<std::streamsize>(rest.size()));
-  if (static_cast<size_t>(in_->gcount()) < rest.size()) {
-    return Status::InvalidArgument(
-        "wire stream truncated inside a frame payload");
-  }
-  const std::string_view payload =
-      std::string_view(rest).substr(0, frame.payload_bytes);
-  TRAJLDP_RETURN_NOT_OK(
-      CheckCrc(payload, std::string_view(rest).substr(frame.payload_bytes)));
-  TRAJLDP_RETURN_NOT_OK(
-      DecodePayload(payload, frame.report_count, frame.flags, out));
-  ++batches_read_;
+Status FrameAssembler::Advance(size_t n) {
+  filled_ += n;
+  if (filled_ < target_ || target_ != kWireHeaderBytes) return Status::Ok();
+  // Header complete: validate magic/version/flags and bound the declared
+  // payload BEFORE sizing the buffer from it.
+  auto info = PeekFrameHeader(frame_);
+  if (!info.ok()) return info.status();
+  target_ = info->frame_bytes;  // > header size: the trailer always exists
+  frame_.resize(target_);
   return Status::Ok();
 }
 
-Status ReadRawFrame(const FrameByteReader& read_exact, std::string* frame,
-                    bool* done) {
-  *done = false;
-  frame->assign(kWireHeaderBytes, '\0');
-  bool clean_eof = false;
-  TRAJLDP_RETURN_NOT_OK(
-      read_exact(frame->data(), kWireHeaderBytes, &clean_eof));
-  if (clean_eof) {
-    frame->clear();
-    *done = true;  // end of input exactly between frames
-    return Status::Ok();
-  }
-  // Validates magic/version/flags and bounds the declared payload, so a
-  // hostile header cannot size a runaway buffer.
-  auto info = PeekFrameHeader(*frame);
-  if (!info.ok()) return info.status();
-  frame->resize(info->frame_bytes);
-  return read_exact(frame->data() + kWireHeaderBytes,
-                    info->frame_bytes - kWireHeaderBytes,
-                    /*clean_eof=*/nullptr);
+Status FrameAssembler::AtEnd() const {
+  if (filled_ == 0) return Status::Ok();  // exactly between frames
+  return Status::InvalidArgument(
+      "wire stream truncated: input ended " + std::to_string(filled_) +
+      " byte(s) into a " + std::to_string(target_) +
+      (target_ == kWireHeaderBytes ? "-byte frame header" : "-byte frame"));
+}
+
+std::string FrameAssembler::Take() {
+  std::string frame = std::move(frame_);
+  frame_.assign(kWireHeaderBytes, '\0');
+  filled_ = 0;
+  target_ = kWireHeaderBytes;
+  return frame;
 }
 
 Status RawFrameReader::Next(std::string* frame, bool* done) {
+  *done = false;
   if (in_ == nullptr) {
     return Status::InvalidArgument("RawFrameReader has no input stream");
   }
-  const auto read_exact = [this](char* out, size_t size,
-                                 bool* clean_eof) -> Status {
-    if (clean_eof != nullptr) *clean_eof = false;
-    in_->read(out, static_cast<std::streamsize>(size));
+  while (!assembler_.ready()) {
+    in_->read(assembler_.next(),
+              static_cast<std::streamsize>(assembler_.wanted()));
     const auto got = static_cast<size_t>(in_->gcount());
-    if (got == 0 && in_->eof() && clean_eof != nullptr) {
-      *clean_eof = true;
+    if (got == 0) {
+      if (!in_->eof()) return Status::Internal("wire stream read failed");
+      TRAJLDP_RETURN_NOT_OK(assembler_.AtEnd());
+      *done = true;
       return Status::Ok();
     }
-    if (got < size) {
-      return Status::InvalidArgument(
-          "wire stream truncated inside a frame");
-    }
-    return Status::Ok();
-  };
-  TRAJLDP_RETURN_NOT_OK(ReadRawFrame(read_exact, frame, done));
-  if (!*done) ++frames_read_;
+    TRAJLDP_RETURN_NOT_OK(assembler_.Advance(got));
+  }
+  *frame = assembler_.Take();
+  ++frames_read_;
+  return Status::Ok();
+}
+
+Status WireReader::Next(ReportBatch* out, bool* done) {
+  std::string frame;
+  TRAJLDP_RETURN_NOT_OK(frames_.Next(&frame, done));
+  if (*done) return Status::Ok();
+  auto batch = DecodeReportBatch(frame);
+  if (!batch.ok()) return batch.status();
+  *out = std::move(*batch);
+  ++batches_read_;
   return Status::Ok();
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -223,13 +222,83 @@ class WireWriter {
   size_t batches_written_ = 0;
 };
 
-/// \brief Reads frames back from a std::istream, one batch at a time —
-/// the reader never buffers more than a single frame, so arbitrarily
-/// long report streams ingest with bounded memory.
+/// \brief The one frame-reassembly state machine: every transport that
+/// reads TLWB frames (istreams here, sockets in net::ConnectionState)
+/// pumps its bytes through this class, so the framing rules cannot
+/// diverge between transports.
+///
+/// The transport drives it by byte counts: read at most wanted() bytes
+/// into next(), then report how many arrived with Advance(). The rules:
+///  * the first kWireHeaderBytes are validated by PeekFrameHeader before
+///    any buffer is sized from the declared length, so a hostile length
+///    prefix is rejected at 16 bytes;
+///  * wanted() never reaches past the current frame's end, so a reader
+///    holds at most one frame;
+///  * end of input is clean only exactly between frames (AtEnd()).
+/// After any error the assembler is spent; drop it with its transport.
+class FrameAssembler {
+ public:
+  FrameAssembler() : frame_(kWireHeaderBytes, '\0') {}
+
+  /// Where the transport writes its next bytes: room for wanted().
+  char* next() { return frame_.data() + filled_; }
+  /// Bytes still missing from the current unit — the header, then the
+  /// rest of the frame. 0 once ready().
+  size_t wanted() const { return target_ - filled_; }
+
+  /// Records `n` (at most wanted()) bytes written at next(). Completing
+  /// the header validates it and sizes the frame; an invalid header is
+  /// the returned error.
+  Status Advance(size_t n);
+
+  /// True when a whole frame is assembled; Take() it before reading on.
+  bool ready() const {
+    return filled_ == target_ && target_ > kWireHeaderBytes;
+  }
+
+  /// The transport's input ended (before ready()). Ok exactly between
+  /// frames; anywhere else the stream was truncated.
+  Status AtEnd() const;
+
+  /// Moves out the assembled frame (header + payload + trailer,
+  /// unverified) and re-arms for the next header. Only after ready().
+  std::string Take();
+
+ private:
+  std::string frame_;
+  size_t filled_ = 0;
+  size_t target_ = kWireHeaderBytes;
+};
+
+/// \brief Reads whole frames from a std::istream WITHOUT decoding their
+/// payloads — header-validated, size-bounded raw bytes, suitable for a
+/// transport that forwards frames verbatim (the collector decodes on its
+/// worker pool). Never buffers more than one frame, so arbitrarily long
+/// streams read with bounded memory.
+class RawFrameReader {
+ public:
+  /// `in` must outlive this reader.
+  explicit RawFrameReader(std::istream* in) : in_(in) {}
+
+  /// Reads the next complete frame into `frame`. At a clean end of
+  /// stream sets `*done`; a frame cut short by EOF is a corruption
+  /// error. The payload is NOT CRC-checked or decoded here.
+  Status Next(std::string* frame, bool* done);
+
+  size_t frames_read() const { return frames_read_; }
+
+ private:
+  std::istream* in_;
+  FrameAssembler assembler_;
+  size_t frames_read_ = 0;
+};
+
+/// \brief Reads frames back from a std::istream, one decoded batch at a
+/// time: RawFrameReader::Next followed by DecodeReportBatch.
 class WireReader {
  public:
   /// `in` must outlive this reader.
-  explicit WireReader(std::istream* in) : in_(in) {}
+  explicit WireReader(std::istream* in) : frames_(in) {}
 
   /// Reads the next frame into `out`. At a clean end of stream, sets
   /// `*done` to true and leaves `out` untouched. A frame cut short by
@@ -239,49 +308,8 @@ class WireReader {
   size_t batches_read() const { return batches_read_; }
 
  private:
-  std::istream* in_;
+  RawFrameReader frames_;
   size_t batches_read_ = 0;
-};
-
-/// How a transport hands bytes to the frame assembler: read exactly
-/// `size` bytes into `out`. When `clean_eof` is non-null, end of input
-/// BEFORE the first byte is a clean end (set `*clean_eof`, return Ok);
-/// when it is null, any shortfall is an error (report it with the
-/// transport's own truncation message). net::RecvExact already has this
-/// exact shape.
-using FrameByteReader =
-    std::function<Status(char* out, size_t size, bool* clean_eof)>;
-
-/// Assembles one raw frame — header validated, total size bounded by
-/// the header before any buffer is sized, payload untouched — from any
-/// byte transport. The single implementation of the frame-framing
-/// protocol: RawFrameReader (istreams) and the socket path
-/// (net::ReadFrameFromSocket) are both thin wrappers over it, so the
-/// clean-EOF rule and size handling cannot diverge between transports.
-Status ReadRawFrame(const FrameByteReader& read_exact, std::string* frame,
-                    bool* done);
-
-/// \brief Reads whole frames from a std::istream WITHOUT decoding their
-/// payloads — header-validated, size-bounded raw bytes, suitable for a
-/// transport that forwards frames verbatim (the collector decodes on its
-/// worker pool). Shares the WireReader's stream semantics: a clean end is
-/// only possible exactly between frames.
-class RawFrameReader {
- public:
-  /// `in` must outlive this reader.
-  explicit RawFrameReader(std::istream* in) : in_(in) {}
-
-  /// Reads the next complete frame (header + payload + trailer) into
-  /// `frame`. At a clean end of stream sets `*done`; a frame cut short
-  /// by EOF is a corruption error. The payload is NOT CRC-checked or
-  /// decoded here.
-  Status Next(std::string* frame, bool* done);
-
-  size_t frames_read() const { return frames_read_; }
-
- private:
-  std::istream* in_;
-  size_t frames_read_ = 0;
 };
 
 /// File-level conveniences: a wire file is a plain concatenation of

@@ -6,8 +6,6 @@
 #include <cstring>
 #include <utility>
 
-#include "io/wire.h"
-
 namespace trajldp::net {
 
 namespace {
@@ -16,27 +14,12 @@ Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
 
-// Truncation with the same per-phase accounting RecvExact reports on the
-// blocking path ("after X of Y" counts bytes of the current unit — header
-// or payload — not of the whole frame), so the error text tests match on
-// stays identical across both server models.
-Status Truncated(size_t got, size_t expected) {
-  return Status::InvalidArgument(
-      "connection truncated: peer closed after " + std::to_string(got) +
-      " of " + std::to_string(expected) + " expected byte(s)");
-}
-
 }  // namespace
 
 StatusOr<ConnectionState::ReadEvent> ConnectionState::PumpRead() {
-  for (;;) {
-    if (read_state_ == ReadState::kFrameReady) return ReadEvent::kFrameReady;
-    const size_t target = read_state_ == ReadState::kHeader
-                              ? io::kWireHeaderBytes
-                              : frame_bytes_;
-    if (frame_.size() < target) frame_.resize(target);
-    const ssize_t n = ::recv(socket_.fd(), frame_.data() + filled_,
-                             target - filled_, 0);
+  while (!assembler_.ready()) {
+    const ssize_t n =
+        ::recv(socket_.fd(), assembler_.next(), assembler_.wanted(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -45,45 +28,16 @@ StatusOr<ConnectionState::ReadEvent> ConnectionState::PumpRead() {
       return Errno("recv");
     }
     if (n == 0) {
-      // FIN is only clean on an exact frame boundary — the same rule
-      // ReadRawFrame enforces for every transport.
-      if (read_state_ == ReadState::kHeader && filled_ == 0) {
-        return ReadEvent::kPeerClosed;
-      }
-      if (read_state_ == ReadState::kHeader) {
-        return Truncated(filled_, io::kWireHeaderBytes);
-      }
-      return Truncated(filled_ - io::kWireHeaderBytes,
-                       frame_bytes_ - io::kWireHeaderBytes);
+      TRAJLDP_RETURN_NOT_OK(assembler_.AtEnd());
+      return ReadEvent::kPeerClosed;
     }
-    filled_ += static_cast<size_t>(n);
     bytes_read_ += static_cast<uint64_t>(n);
-    if (filled_ < target) continue;
-    if (read_state_ == ReadState::kHeader) {
-      // Validate before trusting the declared length: a hostile header
-      // is rejected here, at 16 bytes, before any payload-sized
-      // allocation. PeekFrameHeader bounds frame_bytes by the 64 MiB
-      // frame limit.
-      auto info = io::PeekFrameHeader(frame_);
-      if (!info.ok()) return info.status();
-      frame_bytes_ = info->frame_bytes;
-      read_state_ = ReadState::kBody;
-      continue;  // frame_bytes_ > header size always (trailer exists)
-    }
-    frame_.resize(frame_bytes_);
-    read_state_ = ReadState::kFrameReady;
-    return ReadEvent::kFrameReady;
+    TRAJLDP_RETURN_NOT_OK(assembler_.Advance(static_cast<size_t>(n)));
   }
+  return ReadEvent::kFrameReady;
 }
 
-std::string ConnectionState::TakeFrame() {
-  std::string frame = std::move(frame_);
-  frame_.clear();
-  filled_ = 0;
-  frame_bytes_ = 0;
-  read_state_ = ReadState::kHeader;
-  return frame;
-}
+std::string ConnectionState::TakeFrame() { return assembler_.Take(); }
 
 void ConnectionState::QueueWrite(std::string_view bytes) {
   if (out_pos_ == out_.size()) {

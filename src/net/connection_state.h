@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/status_or.h"
+#include "io/wire.h"
 #include "net/socket.h"
 
 namespace trajldp::net {
@@ -14,22 +15,17 @@ namespace trajldp::net {
 /// frame-reassembly state machine on the read side and a buffered,
 /// EPOLLOUT-drainable ack pipe on the write side.
 ///
-/// The blocking server read a frame with two RecvExact calls; a reactor
-/// cannot block, so this class is that same protocol re-cut along
-/// readiness boundaries. PumpRead() consumes whatever bytes the kernel
-/// has — possibly none, possibly a frame boundary mid-header — and
-/// reports one of three things: a complete frame is ready, the socket
-/// would block (wait for the next EPOLLIN), or the peer closed cleanly.
-/// The assembly rules are byte-for-byte those of io::ReadRawFrame: the
-/// first kWireHeaderBytes are validated by io::PeekFrameHeader before
-/// any buffer is sized from the declared length (a hostile length
-/// prefix is rejected at 16 bytes), a FIN exactly between frames is a
-/// clean end, and a FIN anywhere else is a truncation error.
+/// PumpRead() feeds whatever bytes the kernel has — possibly none,
+/// possibly a frame boundary mid-header — through an io::FrameAssembler,
+/// the framing rules every reader shares, and reports one of three
+/// things: a complete frame is ready, the socket would block (wait for
+/// the next EPOLLIN), or the peer closed cleanly between frames. On a
+/// blocking socket it simply returns a frame or the end.
 ///
 /// Deliberately mechanism-free: no CRC, sequence, journal, or collector
 /// knowledge here — the server's frame pipeline runs on the assembled
-/// bytes. One instance is owned by exactly one reactor thread; nothing
-/// in this class is thread-safe.
+/// bytes. One instance is owned by exactly one thread (a reactor loop,
+/// or FaultProxy's forward pump); nothing in this class is thread-safe.
 class ConnectionState {
  public:
   enum class ReadEvent {
@@ -38,17 +34,16 @@ class ConnectionState {
     kPeerClosed,   ///< clean FIN on a frame boundary
   };
 
-  /// Takes ownership of a non-blocking socket.
+  /// Takes ownership of the socket (non-blocking under a reactor).
   explicit ConnectionState(Socket socket) : socket_(std::move(socket)) {}
 
   int fd() const { return socket_.fd(); }
   Socket& socket() { return socket_; }
 
   /// Advances the reassembly machine as far as the kernel's bytes
-  /// allow. Never reads past the current frame's end, so the "one frame
-  /// per connection in memory" backpressure bound of the threaded
-  /// server still holds: a paused connection buffers at most one frame
-  /// here plus whatever the kernel already accepted.
+  /// allow. Never reads past the current frame's end, so a paused
+  /// connection buffers at most one frame here plus whatever the kernel
+  /// already accepted.
   ///
   /// After kFrameReady the machine stays parked on the completed frame:
   /// call TakeFrame() to consume it before pumping again.
@@ -77,14 +72,8 @@ class ConnectionState {
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
-  enum class ReadState { kHeader, kBody, kFrameReady };
-
   Socket socket_;
-
-  ReadState read_state_ = ReadState::kHeader;
-  std::string frame_;      // assembly buffer; holds the frame when ready
-  size_t filled_ = 0;      // bytes of frame_ received so far
-  size_t frame_bytes_ = 0; // total frame size once the header validated
+  io::FrameAssembler assembler_;
 
   std::string out_;        // pending outbound bytes (acks)
   size_t out_pos_ = 0;     // drained prefix of out_

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "io/wire.h"
-#include "net/framing.h"
+#include "net/connection_state.h"
 
 namespace trajldp::net {
 
@@ -60,12 +60,16 @@ void FaultProxy::AcceptLoop() {
   }
 }
 
-void FaultProxy::ProxyConnection(Socket client, const FaultPlan& plan) {
+void FaultProxy::ProxyConnection(Socket client_socket, const FaultPlan& plan) {
   auto upstream = TcpConnect(upstream_host_, upstream_port_);
   if (!upstream.ok()) {
-    client.ShutdownBoth();
+    client_socket.ShutdownBoth();
     return;  // upstream down: the client sees its connection die
   }
+  // Client frames are read with the server's own reassembler. The
+  // socket stays blocking, so PumpRead yields a frame or the clean end.
+  ConnectionState reader(std::move(client_socket));
+  Socket& client = reader.socket();
   {
     std::lock_guard<std::mutex> lock(live_mu_);
     live_client_ = &client;
@@ -92,27 +96,27 @@ void FaultProxy::ProxyConnection(Socket client, const FaultPlan& plan) {
     client.ShutdownBoth();
   });
 
-  // Forward pump: parse data frames off the client with the same
-  // bounded assembler the server uses, apply the plan, forward.
+  // Forward pump: parse data frames off the client, apply the plan,
+  // forward.
   const auto abort_both = [&] {
     client.ShutdownBoth();
     upstream->ShutdownBoth();
   };
-  std::string frame;
   for (size_t index = 0;; ++index) {
-    bool done = false;
-    if (!ReadFrameFromSocket(client, &frame, &done).ok()) {
+    auto event = reader.PumpRead();
+    if (!event.ok()) {
       // Client vanished mid-frame (or the reverse relay shut us down):
       // kill what remains and move on.
       abort_both();
       break;
     }
-    if (done) {
+    if (*event != ConnectionState::ReadEvent::kFrameReady) {
       // Clean client FIN: propagate it upstream but keep reading acks —
       // the server still owes the client the tail of its ack stream.
       upstream->ShutdownWrite();
       break;
     }
+    std::string frame = reader.TakeFrame();
     if (plan.stall_before_frame == index) {
       faults_injected_.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(plan.stall_for);

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "io/wire.h"
-#include "net/framing.h"
 
 namespace trajldp::net {
 
@@ -125,16 +124,13 @@ void IngestServer::RegisterMetrics() {
   frames_replayed_ = registry_->GetCounter(
       "trajldp_journal_frames_replayed_total",
       "Recovered frames re-pushed through the collector at Start", labels);
-  if (options_.enable_stage_timing) {
-    journal_append_seconds_ = registry_->GetHistogram(
-        "trajldp_journal_append_seconds",
-        "Latency of one journal append (excl. compaction)",
-        obs::DefaultLatencyBounds(), labels);
-    journal_sync_seconds_ = registry_->GetHistogram(
-        "trajldp_journal_sync_seconds",
-        "Latency of an idle-tail journal fsync", obs::DefaultLatencyBounds(),
-        labels);
-  }
+  journal_append_seconds_ = registry_->GetHistogram(
+      "trajldp_journal_append_seconds",
+      "Latency of one journal append (excl. compaction)",
+      obs::DefaultLatencyBounds(), labels);
+  journal_sync_seconds_ = registry_->GetHistogram(
+      "trajldp_journal_sync_seconds", "Latency of an idle-tail journal fsync",
+      obs::DefaultLatencyBounds(), labels);
   // Journal state is mutex-guarded, not atomic, so it is exported by a
   // scrape-time hook instead of a continuously-updated gauge. The hook
   // runs on the scraping thread and takes journal_mu_ — never while a
@@ -471,9 +467,7 @@ void IngestServer::CloseConn(ReactorState& rs, Conn* conn) {
 
 Status IngestServer::HandleFrame(ReactorState& rs, Conn* conn,
                                  std::string frame) {
-  if (options_.verify_crc) {
-    TRAJLDP_RETURN_NOT_OK(VerifyFrameCrc(frame));
-  }
+  TRAJLDP_RETURN_NOT_OK(io::VerifyFrameChecksum(frame));
 
   // Sequence dedup BEFORE any other work: a frame this server (or the
   // journal it recovered) has already consumed must never reach the
@@ -494,8 +488,7 @@ Status IngestServer::HandleFrame(ReactorState& rs, Conn* conn,
     }
     if (seq <= hwm) {
       duplicate_frames_dropped_->Add(1);
-      if (options_.send_acks) return QueueAck(rs, conn, hwm);
-      return Status::Ok();
+      return QueueAck(rs, conn, hwm);
     }
     if (seq != hwm + 1) {
       // A hole in the stream: the frame filling it was lost between
@@ -539,17 +532,12 @@ Status IngestServer::HandleFrame(ReactorState& rs, Conn* conn,
 Status IngestServer::JournalAppend(uint64_t stream_id, uint64_t seq,
                                    std::string_view frame) {
   std::lock_guard<std::mutex> lock(journal_mu_);
-  std::chrono::steady_clock::time_point append_start{};
-  if (journal_append_seconds_ != nullptr) {
-    append_start = std::chrono::steady_clock::now();
-  }
+  const auto append_start = std::chrono::steady_clock::now();
   TRAJLDP_RETURN_NOT_OK(journal_->Append(stream_id, seq, frame));
-  if (journal_append_seconds_ != nullptr) {
-    journal_append_seconds_->Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      append_start)
-            .count());
-  }
+  journal_append_seconds_->Observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    append_start)
+          .count());
   frames_journaled_->Add(1);
 
   // Idle-tail flush: kTimed checks its deadline only AT an append, so a
@@ -582,8 +570,8 @@ Status IngestServer::TryPushAndAck(ReactorState& rs, Conn* conn,
                                    std::string frame, uint64_t stream_id,
                                    uint64_t seq, bool already_journaled) {
   bool accepted = false;
-  TRAJLDP_RETURN_NOT_OK(collector_->PushEncodedFor(
-      frame, std::chrono::milliseconds(0), &accepted, stream_id, seq));
+  TRAJLDP_RETURN_NOT_OK(
+      collector_->TryPushEncoded(frame, &accepted, stream_id, seq));
   if (!accepted) {
     // Collector queue full: park the frame, drop EPOLLIN (the kernel
     // buffer filling is what turns this into TCP flow control), and let
@@ -615,7 +603,7 @@ Status IngestServer::TryPushAndAck(ReactorState& rs, Conn* conn,
       uint64_t& hwm = stream_hwm_[stream_id];
       if (seq > hwm) hwm = seq;
     }
-    if (options_.send_acks) return QueueAck(rs, conn, seq);
+    return QueueAck(rs, conn, seq);
   }
   return Status::Ok();
 }
@@ -669,12 +657,9 @@ void IngestServer::OnFlushTimer() {
   std::lock_guard<std::mutex> lock(journal_mu_);
   flush_armed_ = false;
   if (journal_.has_value() && journal_->unsynced_bytes() > 0) {
-    std::chrono::steady_clock::time_point sync_start{};
-    if (journal_sync_seconds_ != nullptr) {
-      sync_start = std::chrono::steady_clock::now();
-    }
+    const auto sync_start = std::chrono::steady_clock::now();
     Status s = journal_->Sync();
-    if (s.ok() && journal_sync_seconds_ != nullptr) {
+    if (s.ok()) {
       journal_sync_seconds_->Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         sync_start)

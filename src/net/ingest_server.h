@@ -75,7 +75,7 @@ class ReleaseWatermarks {
 ///
 /// A connection holds at most ONE assembled frame. When the collector's
 /// bounded queue is full (reconstruction is the slow stage), the
-/// zero-timeout push bounces and the reactor PAUSES the connection:
+/// non-blocking push bounces and the reactor PAUSES the connection:
 /// EPOLLIN interest is dropped, the held frame is parked, and a
 /// per-reactor retry timer re-attempts the push every push_retry. The
 /// kernel receive buffer fills, TCP advertises a zero window, and the
@@ -88,7 +88,7 @@ class ReleaseWatermarks {
 ///
 /// A malformed or hostile connection — garbage where a header should
 /// be, an over-limit declared length, a truncating disconnect, a CRC
-/// mismatch (verify_crc), a batch claiming users outside this shard
+/// mismatch, a batch claiming users outside this shard
 /// (expected_range), a sequence gap — fails THAT connection with a
 /// clean Status, recorded in stats()/first_connection_error(). Other
 /// connections and the collector itself are untouched; the server keeps
@@ -131,10 +131,6 @@ class IngestServer {
     int backlog = 64;
     /// Reactor (epoll loop) threads; 0 → one per hardware thread.
     size_t reactor_threads = 0;
-    /// Verify each frame's payload CRC on the reactor thread before
-    /// the frame reaches the shared collector. Costs one CRC pass per
-    /// frame at ingest; buys per-connection corruption isolation.
-    bool verify_crc = true;
     /// When set, a frame that carries the wire user-range field must
     /// declare a range contained in this [min, max) shard interval
     /// (core::ShardPlan::RangeOf) or its connection fails — shard
@@ -160,11 +156,6 @@ class IngestServer {
     std::string journal_path;
     /// Fsync policy etc. for the journal (ignored without journal_path).
     io::FrameJournal::Options journal_options;
-    /// Ack sequenced data frames (frames carrying kWireFlagSequence)
-    /// back to their connection once durable + queued. Frames without a
-    /// sequence are never acked, so legacy raw clients are unaffected.
-    /// Off only for tests that need a deliberately mute server.
-    bool send_acks = true;
     /// > 0 → compact the journal whenever its valid extent grows past
     /// this many bytes beyond the last compaction. Requires
     /// compact_watermarks; ignored without journal_path.
@@ -189,10 +180,6 @@ class IngestServer {
     /// {{"shard", "3"}}). Use distinct labels when several servers
     /// share one registry, or their counters alias.
     obs::Labels metric_labels;
-    /// Record journal append/sync latency histograms. Counters and
-    /// gauges stay on regardless — only the per-operation clock reads
-    /// are gated, mirroring StreamingCollector::Config.
-    bool enable_stage_timing = true;
   };
 
   /// Monotonic counters, readable at any time.
@@ -322,7 +309,7 @@ class IngestServer {
   /// journal → push → hwm → ack. Pauses the connection instead of
   /// blocking when the collector queue is full.
   Status HandleFrame(ReactorState& rs, Conn* conn, std::string frame);
-  /// Zero-timeout push + post-push bookkeeping (hwm, ack); pauses the
+  /// Non-blocking push + post-push bookkeeping (hwm, ack); pauses the
   /// conn when the queue is full.
   Status TryPushAndAck(ReactorState& rs, Conn* conn, std::string frame,
                        uint64_t stream_id, uint64_t seq,
@@ -365,7 +352,6 @@ class IngestServer {
   /// per recv/send on the hot path).
   obs::Counter* bytes_read_ = nullptr;
   obs::Counter* bytes_written_ = nullptr;
-  /// Null when Options::enable_stage_timing is false.
   obs::Histogram* journal_append_seconds_ = nullptr;
   obs::Histogram* journal_sync_seconds_ = nullptr;
   /// Journal-state gauges are exported by a collection hook (reads

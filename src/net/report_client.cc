@@ -4,8 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "net/framing.h"
-
 namespace trajldp::net {
 
 ReportClient::ReportClient(std::string host, uint16_t port)
@@ -15,40 +13,11 @@ ReportClient::ReportClient(std::string host, uint16_t port, Options options)
     : host_(std::move(host)),
       port_(port),
       options_(options),
-      backoff_rng_(options.backoff_seed) {
-  if (options_.metrics != nullptr) RegisterMetrics();
-}
-
-void ReportClient::RegisterMetrics() {
-  obs::Registry* r = options_.metrics;
-  const obs::Labels& labels = options_.metric_labels;
-  frames_sent_ctr_ = r->GetCounter("trajldp_client_frames_sent_total",
-                                   "Frames transmitted (first sends)", labels);
-  reconnects_ctr_ = r->GetCounter(
-      "trajldp_client_reconnects_total",
-      "Connections established beyond each client's first", labels);
-  frames_resent_ctr_ = r->GetCounter(
-      "trajldp_client_frames_resent_total",
-      "Frames retransmitted after a reconnect (wire duplicates)", labels);
-  acks_ctr_ = r->GetCounter("trajldp_client_acks_total",
-                            "Ack frames received", labels);
-  backoff_sleeps_ctr_ = r->GetCounter("trajldp_client_backoff_sleeps_total",
-                                      "Retry backoff sleeps taken", labels);
-  backoff_sleep_ms_ctr_ = r->GetCounter(
-      "trajldp_client_backoff_sleep_ms_total",
-      "Milliseconds spent sleeping in retry backoff", labels);
-  connect_failures_ctr_ = r->GetCounter(
-      "trajldp_client_connect_failures_total",
-      "TcpConnect attempts that failed", labels);
-}
+      backoff_rng_(options.backoff_seed) {}
 
 void ReportClient::CountBackoffSleep(std::chrono::milliseconds sleep) {
   ++backoff_sleeps_;
   backoff_sleep_total_ms_ += static_cast<uint64_t>(sleep.count());
-  if (backoff_sleeps_ctr_ != nullptr) backoff_sleeps_ctr_->Add(1);
-  if (backoff_sleep_ms_ctr_ != nullptr) {
-    backoff_sleep_ms_ctr_->Add(static_cast<uint64_t>(sleep.count()));
-  }
 }
 
 std::chrono::milliseconds ReportClient::DecorrelatedBackoff(
@@ -74,15 +43,11 @@ Status ReportClient::EnsureConnected() {
   auto connected = TcpConnect(host_, port_);
   if (!connected.ok()) {
     ++connect_failures_;
-    if (connect_failures_ctr_ != nullptr) connect_failures_ctr_->Add(1);
     return connected.status();
   }
   socket_ = std::move(*connected);
   transmitted_ = 0;  // a fresh connection has seen none of the window
-  if (ever_connected_) {
-    ++reconnects_;
-    if (reconnects_ctr_ != nullptr) reconnects_ctr_->Add(1);
-  }
+  if (ever_connected_) ++reconnects_;
   ever_connected_ = true;
   return Status::Ok();
 }
@@ -116,10 +81,9 @@ Status ReportClient::SendFrame(std::string_view frame) {
     }
     last = EnsureConnected();
     if (!last.ok()) continue;
-    last = WriteFrameToSocket(socket_, frame);
+    last = SendAll(socket_, frame);
     if (last.ok()) {
       ++frames_sent_;
-      if (frames_sent_ctr_ != nullptr) frames_sent_ctr_->Add(1);
       return Status::Ok();
     }
     socket_.Close();  // stale connection; the next attempt redials
@@ -172,26 +136,28 @@ Status ReportClient::PumpOnce(size_t target) {
   // must not be sent again on it.
   while (transmitted_ < window_.size()) {
     InFlight& f = window_[transmitted_];
-    TRAJLDP_RETURN_NOT_OK(WriteFrameToSocket(socket_, f.frame));
+    TRAJLDP_RETURN_NOT_OK(SendAll(socket_, f.frame));
     if (f.transmitted_once) {
       ++frames_resent_;
-      if (frames_resent_ctr_ != nullptr) frames_resent_ctr_->Add(1);
     } else {
       f.transmitted_once = true;
       ++frames_sent_;
-      if (frames_sent_ctr_ != nullptr) frames_sent_ctr_->Add(1);
     }
     ++transmitted_;
   }
   // Drain acks until the window is small enough. The server acks every
   // data frame (duplicates re-ack the high-water mark), so each blocking
-  // read here is matched by an ack already sent or about to be.
+  // read here is matched by an ack already sent or about to be — and a
+  // FIN, even between acks, means the server vanished with the window
+  // unacknowledged: reconnect and resend.
+  std::string ack_frame(io::kAckFrameBytes, '\0');
   while (window_.size() > target) {
-    uint64_t ack = 0;
-    TRAJLDP_RETURN_NOT_OK(ReadAckFromSocket(socket_, &ack));
+    TRAJLDP_RETURN_NOT_OK(
+        RecvExact(socket_, ack_frame.data(), ack_frame.size()));
+    auto ack = io::DecodeAckFrame(ack_frame);
+    if (!ack.ok()) return ack.status();
     ++acks_received_;
-    if (acks_ctr_ != nullptr) acks_ctr_->Add(1);
-    if (ack > last_ack_) last_ack_ = ack;
+    if (*ack > last_ack_) last_ack_ = *ack;
     while (!window_.empty() && window_.front().seq <= last_ack_) {
       window_.pop_front();
       if (transmitted_ > 0) --transmitted_;

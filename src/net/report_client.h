@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "io/wire.h"
 #include "net/socket.h"
-#include "obs/metrics.h"
 
 namespace trajldp::net {
 
@@ -63,9 +62,9 @@ class ReportClient {
     bool include_user_range = true;
     /// Sequenced mode: stamp every SendBatch frame with (stream_id,
     /// consecutive seq starting at 1) and run the in-flight window /
-    /// ack protocol. Requires an acking server (IngestServer with
-    /// send_acks, its default) — against a mute server, sends stall on
-    /// the ack read and fail once attempts are exhausted.
+    /// ack protocol. Requires an acking server (IngestServer acks every
+    /// sequenced frame) — against a mute server, sends stall on the ack
+    /// read and fail once attempts are exhausted.
     bool enable_sequencing = false;
     /// Identifies this client's stream to the server's dedup map. Must
     /// be unique among clients sharing a server within one run.
@@ -73,15 +72,6 @@ class ReportClient {
     /// Max unacked frames in flight before SendBatch blocks draining
     /// acks. Bounds client memory; Flush() drains to zero regardless.
     size_t window = 32;
-    /// When set, every retry-path event (reconnects, resends, backoff
-    /// sleeps, connect failures, frames, acks) is mirrored into
-    /// trajldp_client_* counters in this registry as it happens, so a
-    /// fleet of clients sharing one registry aggregates for free. The
-    /// registry must outlive the client. The plain accessors below stay
-    /// the per-client source of truth either way.
-    obs::Registry* metrics = nullptr;
-    /// Labels on the mirrored series (e.g. {{"device", "17"}}).
-    obs::Labels metric_labels;
   };
 
   /// Connects lazily on the first send.
@@ -154,9 +144,7 @@ class ReportClient {
   Status PumpOnce(size_t target);
   /// PumpOnce under the retry/backoff loop.
   Status Pump(size_t target);
-  /// Registers the trajldp_client_* mirror series (Options::metrics).
-  void RegisterMetrics();
-  /// Records one taken backoff sleep in the plain + mirrored counters.
+  /// Records one taken backoff sleep.
   void CountBackoffSleep(std::chrono::milliseconds sleep);
 
   const std::string host_;
@@ -170,15 +158,6 @@ class ReportClient {
   size_t backoff_sleeps_ = 0;
   uint64_t backoff_sleep_total_ms_ = 0;
   size_t connect_failures_ = 0;
-
-  // Registry mirror (all null without Options::metrics).
-  obs::Counter* frames_sent_ctr_ = nullptr;
-  obs::Counter* reconnects_ctr_ = nullptr;
-  obs::Counter* frames_resent_ctr_ = nullptr;
-  obs::Counter* acks_ctr_ = nullptr;
-  obs::Counter* backoff_sleeps_ctr_ = nullptr;
-  obs::Counter* backoff_sleep_ms_ctr_ = nullptr;
-  obs::Counter* connect_failures_ctr_ = nullptr;
 
   // Sequenced-mode state.
   std::deque<InFlight> window_;

@@ -186,9 +186,7 @@ Status SendAll(const Socket& socket, std::string_view data) {
   return Status::Ok();
 }
 
-Status RecvExact(const Socket& socket, char* out, size_t size,
-                 bool* clean_eof) {
-  if (clean_eof != nullptr) *clean_eof = false;
+Status RecvExact(const Socket& socket, char* out, size_t size) {
   size_t got = 0;
   while (got < size) {
     const ssize_t n = ::recv(socket.fd(), out + got, size - got, 0);
@@ -197,10 +195,6 @@ Status RecvExact(const Socket& socket, char* out, size_t size,
       return Status::Internal(Errno("recv"));
     }
     if (n == 0) {
-      if (got == 0 && clean_eof != nullptr) {
-        *clean_eof = true;  // FIN exactly on a message boundary
-        return Status::Ok();
-      }
       return Status::InvalidArgument(
           "connection truncated: peer closed after " + std::to_string(got) +
           " of " + std::to_string(size) + " expected byte(s)");

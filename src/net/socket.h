@@ -16,7 +16,7 @@ namespace trajldp::net {
 /// resolution failures, refused connections, peers vanishing mid-frame —
 /// all are ordinary outcomes for a collector that must outlive its
 /// flakiest device. Nothing in this header knows about wire frames;
-/// framing lives one layer up (net/framing.h).
+/// framing lives one layer up (net/connection_state.h).
 
 /// Move-only owner of one socket file descriptor. Closes on destruction.
 class Socket {
@@ -99,11 +99,9 @@ StatusOr<Socket> TcpConnect(const std::string& host, uint16_t port);
 /// suppressed — a vanished peer is a Status, not a signal).
 Status SendAll(const Socket& socket, std::string_view data);
 
-/// Receives exactly `size` bytes into `out`. EOF before the first byte
-/// sets `*clean_eof` and returns Ok (the peer finished cleanly between
-/// messages); EOF after it is a truncation error.
-Status RecvExact(const Socket& socket, char* out, size_t size,
-                 bool* clean_eof);
+/// Receives exactly `size` bytes into `out`. EOF anywhere — even before
+/// the first byte — is a truncation error.
+Status RecvExact(const Socket& socket, char* out, size_t size);
 
 /// True when the peer has closed its end (a non-blocking MSG_PEEK sees
 /// EOF). Lets a client detect a dead connection BEFORE writing a frame

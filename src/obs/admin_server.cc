@@ -109,6 +109,7 @@ void AdminServer::OnConnEvent(int fd, uint32_t events) {
   if ((events & EPOLLIN) == 0) return;
 
   char buffer[4096];
+  bool peer_done = false;
   for (;;) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
@@ -118,11 +119,13 @@ void AdminServer::OnConnEvent(int fd, uint32_t events) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
-    // Peer closed (or errored) before a full request: nothing to say.
-    if (!conn.responded) {
+    if (n < 0) {
       CloseConn(fd);
       return;
     }
+    // FIN: a client may half-close right after its request, so the
+    // request read in this same wakeup still gets its answer.
+    peer_done = true;
     break;
   }
   if (conn.responded) return;
@@ -132,6 +135,9 @@ void AdminServer::OnConnEvent(int fd, uint32_t events) {
     conn.responded = true;
   } else if (conn.in.find("\r\n\r\n") != std::string::npos) {
     RespondTo(conn);
+  } else if (peer_done) {
+    CloseConn(fd);  // closed before a full request: nothing to say
+    return;
   } else {
     return;  // headers not complete yet
   }

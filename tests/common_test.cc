@@ -328,17 +328,19 @@ TEST(BoundedQueueTest, FifoOrderSingleThread) {
 TEST(BoundedQueueTest, ZeroCapacityPromotedToOne) {
   BoundedQueue<int> queue(0);
   EXPECT_EQ(queue.capacity(), 1u);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_FALSE(queue.TryPush(2));  // full
+  int item = 1;
+  EXPECT_EQ(queue.TryPush(item), QueuePushResult::kOk);
+  EXPECT_EQ(queue.TryPush(item), QueuePushResult::kFull);
 }
 
 TEST(BoundedQueueTest, TryPushRespectsCapacity) {
   BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));
+  int items[] = {1, 2, 3};
+  EXPECT_EQ(queue.TryPush(items[0]), QueuePushResult::kOk);
+  EXPECT_EQ(queue.TryPush(items[1]), QueuePushResult::kOk);
+  EXPECT_EQ(queue.TryPush(items[2]), QueuePushResult::kFull);
   (void)queue.Pop();
-  EXPECT_TRUE(queue.TryPush(3));
+  EXPECT_EQ(queue.TryPush(items[2]), QueuePushResult::kOk);
 }
 
 TEST(BoundedQueueTest, CloseDrainsThenSignalsEnd) {
@@ -382,55 +384,24 @@ TEST(BoundedQueueTest, CloseUnblocksWaitingProducerAndConsumer) {
   consumer.join();
 }
 
-TEST(BoundedQueueTest, TryPushForSucceedsWhenRoomExists) {
-  BoundedQueue<int> queue(2);
-  int item = 1;
-  EXPECT_EQ(queue.TryPushFor(item, std::chrono::milliseconds(0)),
-            QueuePushResult::kOk);
-  EXPECT_EQ(queue.Pop(), 1);
-}
-
-TEST(BoundedQueueTest, TryPushForTimesOutOnFullQueueAndKeepsItem) {
+TEST(BoundedQueueTest, TryPushOnFullQueueKeepsItem) {
   BoundedQueue<std::string> queue(1);
   ASSERT_TRUE(queue.Push("first"));
   std::string item = "second";
-  EXPECT_EQ(queue.TryPushFor(item, std::chrono::milliseconds(5)),
-            QueuePushResult::kTimeout);
+  EXPECT_EQ(queue.TryPush(item), QueuePushResult::kFull);
   EXPECT_EQ(item, "second");  // the caller keeps the item to retry
   EXPECT_EQ(queue.size(), 1u);
   // After the consumer makes room, the very same item goes through.
   EXPECT_EQ(queue.Pop(), "first");
-  EXPECT_EQ(queue.TryPushFor(item, std::chrono::milliseconds(5)),
-            QueuePushResult::kOk);
+  EXPECT_EQ(queue.TryPush(item), QueuePushResult::kOk);
   EXPECT_EQ(queue.Pop(), "second");
 }
 
-TEST(BoundedQueueTest, TryPushForReportsClosedNotTimeout) {
+TEST(BoundedQueueTest, TryPushReportsClosedNotFull) {
   BoundedQueue<int> queue(1);
   queue.Close();
   int item = 3;
-  EXPECT_EQ(queue.TryPushFor(item, std::chrono::milliseconds(0)),
-            QueuePushResult::kClosed);
-}
-
-TEST(BoundedQueueTest, CloseWhileTryPushForWaitsReturnsClosed) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    int item = 2;
-    // Far longer than the test will run: only Close() can end the wait.
-    EXPECT_EQ(queue.TryPushFor(item, std::chrono::seconds(60)),
-              QueuePushResult::kClosed);
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(returned.load());
-  queue.Close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-  EXPECT_EQ(queue.Pop(), 1);  // the waiting item was never enqueued
-  EXPECT_EQ(queue.Pop(), std::nullopt);
+  EXPECT_EQ(queue.TryPush(item), QueuePushResult::kClosed);
 }
 
 TEST(BoundedQueueTest, ManyProducersOneConsumerDeliverEverything) {

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -362,6 +363,37 @@ TEST(AdminServerTest, ScrapeObservesConcurrentIncrements) {
   // The scraped value parses and is positive.
   const double scraped = std::stod(response.substr(pos + 12));
   EXPECT_GT(scraped, 0.0);
+}
+
+// A hook parks the admin loop in a first scrape while a second client
+// sends its request and half-closes, so the server reads the request
+// and the FIN in one wakeup; the request must still be answered.
+TEST(AdminServerTest, AnswersARequestThatArrivesWithItsFin) {
+  Registry registry;
+  std::atomic<bool> first{true};
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  registry.AddHook([&] {
+    if (!first.exchange(false)) return;
+    parked.set_value();
+    released.wait();
+  });
+  auto server = AdminServer::Start(&registry);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  const std::string request = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
+  auto first_scrape = net::TcpConnect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(first_scrape.ok() && net::SendAll(*first_scrape, request).ok());
+  parked.get_future().wait();
+  auto second = net::TcpConnect("127.0.0.1", (*server)->port());
+  const bool sent = second.ok() && net::SendAll(*second, request).ok();
+  if (sent) second->ShutdownWrite();
+  release.set_value();
+  ASSERT_TRUE(sent);
+  char reply[4096] = {};
+  ASSERT_GT(::recv(second->fd(), reply, sizeof(reply) - 1, MSG_WAITALL), 0);
+  EXPECT_NE(std::string(reply).find("HTTP/1.1 200 OK"), std::string::npos);
+  (*server)->Shutdown();
 }
 
 // ------------------------------------------------------ snapshot writer

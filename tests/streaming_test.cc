@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -315,45 +314,13 @@ TEST_F(StreamingFixture, MidStreamCorruptFrameKeepsEmittedReleases) {
   ExpectIdenticalReleases(*merged, reference);
 }
 
-// The transport seam: frames pulled from a FrameSource (here a wire
-// stream in memory) release identically to frames pushed by hand.
-TEST_F(StreamingFixture, IngestEncodedFromIstreamSourceIsBitIdentical) {
-  const uint64_t seed = 55;
-  const auto users = MakeUsers(10, 19);
-  const auto reference = Reference(users, seed);
-  const auto reports = MakeReports(users, seed);
-
-  std::stringstream stream;
-  io::WireWriter writer(&stream);
-  for (size_t begin = 0; begin < reports.size(); begin += 3) {
-    const size_t end = std::min(begin + 3, reports.size());
-    ASSERT_TRUE(writer
-                    .WriteBatch(std::span<const io::WireReport>(
-                        reports.data() + begin, end - begin))
-                    .ok());
-  }
-
-  std::mutex mu;
-  std::vector<std::vector<UserRelease>> outputs(1);
-  StreamingCollector collector(mech_.get(), seed, [&](UserRelease release) {
-    std::lock_guard<std::mutex> lock(mu);
-    outputs[0].push_back(std::move(release));
-  });
-  IstreamFrameSource source(&stream);
-  ASSERT_TRUE(collector.IngestEncoded(source).ok());
-  ASSERT_TRUE(collector.Finish().ok());
-  auto merged = MergeShardReleases(std::move(outputs), users.size());
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  ExpectIdenticalReleases(*merged, reference);
-}
-
-TEST_F(StreamingFixture, PushEncodedForTimesOutThenAccepts) {
+TEST_F(StreamingFixture, TryPushEncodedBouncesThenAccepts) {
   const uint64_t seed = 3;
   const auto users = MakeUsers(4, 23);
   const auto reports = MakeReports(users, seed);
 
   // One worker blocked in the sink + capacity-1 queue → a third frame
-  // must time out, survive intact, and go through once the sink drains.
+  // must bounce, survive intact, and go through once the sink drains.
   std::mutex gate;
   gate.lock();
   std::atomic<size_t> released{0};
@@ -375,28 +342,21 @@ TEST_F(StreamingFixture, PushEncodedForTimesOutThenAccepts) {
   ASSERT_TRUE(collector.PushEncoded(frame_for(0)).ok());  // into the worker
   std::string second = frame_for(1);
   std::string third = frame_for(2);
-  // Fill the queue, then watch the timed push bounce.
+  // Fill the queue, then watch the non-blocking push bounce.
   bool accepted = false;
   for (int attempts = 0; attempts < 1000 && !accepted; ++attempts) {
-    ASSERT_TRUE(collector
-                    .PushEncodedFor(second, std::chrono::milliseconds(1),
-                                    &accepted)
-                    .ok());
+    ASSERT_TRUE(collector.TryPushEncoded(second, &accepted).ok());
+    if (!accepted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(accepted);
   accepted = true;
-  ASSERT_TRUE(collector
-                  .PushEncodedFor(third, std::chrono::milliseconds(1),
-                                  &accepted)
-                  .ok());
+  ASSERT_TRUE(collector.TryPushEncoded(third, &accepted).ok());
   EXPECT_FALSE(accepted);           // queue full, sink gated
   EXPECT_FALSE(third.empty());      // frame handed back intact
   gate.unlock();                    // drain
   while (!accepted) {
-    ASSERT_TRUE(collector
-                    .PushEncodedFor(third, std::chrono::milliseconds(10),
-                                    &accepted)
-                    .ok());
+    ASSERT_TRUE(collector.TryPushEncoded(third, &accepted).ok());
+    if (!accepted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(collector.Finish().ok());
   EXPECT_EQ(collector.reports_released(), 3u);
