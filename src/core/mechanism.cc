@@ -17,6 +17,13 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   if (!(config.epsilon > 0.0) || !std::isfinite(config.epsilon)) {
     return Status::InvalidArgument("epsilon must be positive and finite");
   }
+  // 0 selects the strict sensitivity; a negative or NaN value would
+  // silently do the same, and +inf would flatten every draw to uniform.
+  if (!(config.quality_sensitivity >= 0.0) ||
+      !std::isfinite(config.quality_sensitivity)) {
+    return Status::InvalidArgument(
+        "quality_sensitivity must be finite and >= 0 (0 = strict)");
+  }
 
   NGramMechanism mech;
   mech.config_ = config;

@@ -50,7 +50,8 @@ struct NGramConfig {
   /// EM quality sensitivity Δd_w. 0 (default) = the strict value
   /// n × (region-distance diameter) for which the ε-LDP proof holds.
   /// Setting 1.0 reproduces the paper's published error magnitudes
-  /// ("paper calibration"; see NgramDomain and DESIGN.md).
+  /// ("paper calibration"; see NgramDomain and DESIGN.md). Build()
+  /// rejects negative, NaN and infinite values.
   double quality_sensitivity = 0.0;
 };
 

@@ -37,13 +37,10 @@ void NgramDomain::ComputeWeightRow(RegionId r, double scale,
 
 void NgramDomain::ComputeSuffixRow(const std::vector<double>& weight_row,
                                    std::vector<double>& out) const {
-  const size_t num_regions = graph_->num_regions();
-  out.resize(num_regions);
-  for (RegionId v = 0; v < num_regions; ++v) {
-    double total = 0.0;
-    for (RegionId u : graph_->Neighbors(v)) total += weight_row[u];
-    out[v] = total;
-  }
+  out.resize(graph_->num_regions());
+  NeighborSums(
+      out.size(), [this](uint32_t v) { return graph_->Neighbors(v); },
+      weight_row.data(), out.data());
 }
 
 template <typename ComputeFn>

@@ -1,6 +1,7 @@
 #ifndef TRAJLDP_CORE_NGRAM_DOMAIN_H_
 #define TRAJLDP_CORE_NGRAM_DOMAIN_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -53,6 +54,47 @@ struct SamplerWorkspace {
   std::vector<std::shared_ptr<const std::vector<double>>> pins;
 };
 
+/// The neighbour-sum kernel: out[v] = Σ_{u∈adj(v)} in[u] for every node
+/// v < num_nodes, where neighbors(v) returns adj(v) as a span. Each sum
+/// adds its terms left to right from 0.0, exactly as the plain loop does,
+/// so every output is bit-identical to it; four nodes' sums run side by
+/// side, so each chain's adds overlap the other chains' instead of waiting
+/// on their own previous add. The chains are named scalars, not an array,
+/// so they stay in registers at -O2 as well as -O3.
+template <typename NeighborFn>
+void NeighborSums(size_t num_nodes, NeighborFn&& neighbors, const double* in,
+                  double* out) {
+  uint32_t v = 0;
+  for (; v + 4 <= num_nodes; v += 4) {
+    const std::span<const uint32_t> a0 = neighbors(v);
+    const std::span<const uint32_t> a1 = neighbors(v + 1);
+    const std::span<const uint32_t> a2 = neighbors(v + 2);
+    const std::span<const uint32_t> a3 = neighbors(v + 3);
+    const size_t common =
+        std::min({a0.size(), a1.size(), a2.size(), a3.size()});
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t j = 0; j < common; ++j) {
+      s0 += in[a0[j]];
+      s1 += in[a1[j]];
+      s2 += in[a2[j]];
+      s3 += in[a3[j]];
+    }
+    auto finish = [&](std::span<const uint32_t> adj, double sum) {
+      for (size_t j = common; j < adj.size(); ++j) sum += in[adj[j]];
+      return sum;
+    };
+    out[v] = finish(a0, s0);
+    out[v + 1] = finish(a1, s1);
+    out[v + 2] = finish(a2, s2);
+    out[v + 3] = finish(a3, s3);
+  }
+  for (; v < num_nodes; ++v) {
+    double sum = 0.0;
+    for (uint32_t u : neighbors(v)) sum += in[u];
+    out[v] = sum;
+  }
+}
+
 /// Exact exponential-mechanism sampling of one walk from a directed graph
 /// with separable per-slot log-linear weights: Pr[path] ∝ Π_k
 /// weights[k][node_k] over all walks whose steps follow `neighbors`.
@@ -94,12 +136,7 @@ Status SamplePathEmInto(size_t num_nodes, NeighborFn&& neighbors,
   const double* suffix = last_suffix.data();
   if (last_suffix.empty()) {
     ws.suffix.resize(num_nodes);
-    const double* w_last = weight_rows[n - 1];
-    for (uint32_t v = 0; v < num_nodes; ++v) {
-      double total = 0.0;
-      for (uint32_t u : neighbors(v)) total += w_last[u];
-      ws.suffix[v] = total;
-    }
+    NeighborSums(num_nodes, neighbors, weight_rows[n - 1], ws.suffix.data());
     suffix = ws.suffix.data();
   }
 
@@ -117,11 +154,8 @@ Status SamplePathEmInto(size_t num_nodes, NeighborFn&& neighbors,
     const double* w = weight_rows[k];
     const double* next = ws.beta.data() + (k + 1) * num_nodes;
     double* row = ws.beta.data() + k * num_nodes;
-    for (uint32_t v = 0; v < num_nodes; ++v) {
-      double total = 0.0;
-      for (uint32_t u : neighbors(v)) total += next[u];
-      row[v] = w[v] * total;
-    }
+    NeighborSums(num_nodes, neighbors, next, row);
+    for (uint32_t v = 0; v < num_nodes; ++v) row[v] = w[v] * row[v];
   }
 
   // Forward sampling: first node ∝ beta[0]; each next node among the

@@ -1,6 +1,9 @@
 #include "region/region_graph.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
 
 namespace trajldp::region {
 
@@ -25,6 +28,17 @@ bool AnyPoiPairWithin(const model::PoiDatabase& db, const StcRegion& a,
   return false;
 }
 
+// Spatial half of the edge test for a ≠ b: bounding boxes first, the exact
+// POI scan only for pairs the boxes cannot decide.
+bool SpatiallyReachable(const model::PoiDatabase& db, const StcRegion& a,
+                        const StcRegion& b, double theta_km) {
+  if (a.bounds.MinDistanceKm(b.bounds) > theta_km) return false;
+  if (a.bounds.MaxDistanceKm(b.bounds) > theta_km) {
+    return AnyPoiPairWithin(db, a, b, theta_km);
+  }
+  return true;
+}
+
 // Time order: can a visit in `a` precede a visit in `b` by at least one
 // timestep? Interval boundaries are multiples of g_t by construction.
 bool TimeOrderFeasible(const StcRegion& a, const StcRegion& b,
@@ -42,34 +56,55 @@ RegionGraph RegionGraph::Build(const StcDecomposition& decomp,
   const double theta = reach.ReferenceThetaKm();
   const bool unconstrained = reach.unconstrained();
 
-  graph.offsets_.assign(n + 1, 0);
-  std::vector<std::vector<RegionId>> adj(n);
-  for (RegionId a = 0; a < n; ++a) {
-    const StcRegion& ra = decomp.region(a);
-    for (RegionId b = 0; b < n; ++b) {
-      const StcRegion& rb = decomp.region(b);
-      if (!TimeOrderFeasible(ra, rb, g_t)) continue;
-      if (!unconstrained) {
-        if (a != b) {
-          if (ra.bounds.MinDistanceKm(rb.bounds) > theta) continue;
-          if (ra.bounds.MaxDistanceKm(rb.bounds) > theta &&
-              !AnyPoiPairWithin(decomp.db(), ra, rb, theta)) {
-            continue;
-          }
-        }
-        // a == b: the zero self-distance always satisfies θ.
-      }
-      adj[a].push_back(b);
+  // The spatial test reads nothing but the two POI sets (bounds are the
+  // sets' bounding boxes), and regions share sets: a POI open for many
+  // hours lands in one region per interval with the same members. Number
+  // the distinct sets by exact content and test each ordered pair of
+  // sets at most once.
+  std::vector<uint32_t> poi_set(n);
+  size_t num_sets = 0;
+  {
+    std::map<std::vector<model::PoiId>, uint32_t> ids;
+    for (RegionId r = 0; r < n; ++r) {
+      const auto [it, inserted] = ids.try_emplace(
+          decomp.region(r).pois, static_cast<uint32_t>(num_sets));
+      if (inserted) ++num_sets;
+      poi_set[r] = it->second;
     }
   }
-  size_t edges = 0;
-  for (const auto& list : adj) edges += list.size();
-  graph.targets_.reserve(edges);
+  enum : uint8_t { kUntested, kUnreachable, kReachable };
+  std::vector<uint8_t> spatial(unconstrained ? 0 : num_sets * num_sets,
+                               kUntested);
+  auto is_edge = [&](RegionId a, RegionId b) {
+    const StcRegion& ra = decomp.region(a);
+    const StcRegion& rb = decomp.region(b);
+    if (!TimeOrderFeasible(ra, rb, g_t)) return false;
+    // a == b: the zero self-distance always satisfies θ.
+    if (unconstrained || a == b) return true;
+    uint8_t& known = spatial[poi_set[a] * num_sets + poi_set[b]];
+    if (known == kUntested) {
+      known = SpatiallyReachable(decomp.db(), ra, rb, theta) ? kReachable
+                                                             : kUnreachable;
+    }
+    return known == kReachable;
+  };
+
+  // Pass 1 counts out-degrees (running every spatial test the graph
+  // needs), so the CSR is allocated once at its exact size; pass 2 fills
+  // it from the memoised answers.
+  graph.offsets_.assign(n + 1, 0);
   for (RegionId a = 0; a < n; ++a) {
-    graph.offsets_[a] = graph.targets_.size();
-    graph.targets_.insert(graph.targets_.end(), adj[a].begin(), adj[a].end());
+    size_t degree = 0;
+    for (RegionId b = 0; b < n; ++b) degree += is_edge(a, b) ? 1 : 0;
+    graph.offsets_[a + 1] = graph.offsets_[a] + degree;
   }
-  graph.offsets_[n] = graph.targets_.size();
+  graph.targets_.resize(graph.offsets_[n]);
+  size_t next = 0;
+  for (RegionId a = 0; a < n; ++a) {
+    for (RegionId b = 0; b < n; ++b) {
+      if (is_edge(a, b)) graph.targets_[next++] = b;
+    }
+  }
   return graph;
 }
 

@@ -22,10 +22,13 @@ namespace trajldp::region {
 /// and EM sampling over W_n by forward-backward DP (ngram_domain.h),
 /// without materialising the n-gram set.
 ///
-/// Bounding-box pruning keeps construction near-quadratic: a pair is
-/// accepted without POI checks when the boxes' max distance is within θ,
-/// rejected when their min distance exceeds θ, and scanned exactly
-/// otherwise.
+/// Construction costs R² time-order checks over the R regions plus at
+/// most K² spatial tests over their K distinct POI sets: condition 2
+/// reads only the two POI sets, so regions with equal sets (one POI open
+/// for many hours recurs once per interval) share one test, memoised in
+/// K² bytes. A spatial test accepts without POI checks when the bounding
+/// boxes' max distance is within θ, rejects when their min distance
+/// exceeds θ, and scans POI pairs exactly otherwise.
 class RegionGraph {
  public:
   /// Builds the graph. `decomp` must outlive the result.

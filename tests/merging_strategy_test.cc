@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/mechanism.h"
 #include "model/semantic_distance.h"
@@ -158,6 +159,28 @@ TEST(QualitySensitivityTest, OverrideSharpensConcentration) {
     err_calibrated += dist.BetweenTrajectories(input, *b);
   }
   EXPECT_LT(err_calibrated, err_strict);
+}
+
+// A negative or NaN override would silently mean "strict", and +inf would
+// flatten every EM row to all ones (uniform draws), so Build() rejects all
+// three. 0 stays the strict default.
+TEST(QualitySensitivityTest, BuildRejectsNegativeNanAndInfinite) {
+  auto db = MakeGridWorld();
+  ASSERT_TRUE(db.ok());
+  const auto time = TenMinutes();
+  auto build = [&](double sensitivity) {
+    core::NGramConfig config;
+    config.quality_sensitivity = sensitivity;
+    return core::NGramMechanism::Build(&*db, time, config);
+  };
+  for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    const auto mechanism = build(bad);
+    ASSERT_FALSE(mechanism.ok()) << bad;
+    EXPECT_EQ(mechanism.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_TRUE(build(0.0).ok());
+  EXPECT_TRUE(build(1.0).ok());
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "core/ngram.h"
 #include "core/ngram_domain.h"
@@ -69,6 +73,42 @@ TEST(PerturbedNgramTest, CoverageCount) {
   EXPECT_EQ(CoverageCount(z, 1), 2u);
   EXPECT_EQ(CoverageCount(z, 2), 2u);
   EXPECT_EQ(CoverageCount(z, 3), 1u);
+}
+
+// ---------- NeighborSums ----------
+
+// The kernel runs several nodes' sums side by side; each must still equal
+// the plain left-to-right loop bit for bit. Node counts 1–13 cover every
+// remainder modulo the chain count; lists are empty, short or long (with
+// repeats), and inputs span 1e-300 to 1e3 so a reordered sum would show.
+TEST(NeighborSumsTest, BitIdenticalToPlainLoop) {
+  Rng rng(2024);
+  for (size_t nodes = 1; nodes <= 13; ++nodes) {
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<std::vector<uint32_t>> adj(nodes);
+      for (size_t v = 0; v < nodes; ++v) {
+        if ((v + trial) % 5 == 0) continue;  // empty list
+        const int64_t degree =
+            rng.UniformInt(1, 3 * static_cast<int64_t>(nodes));
+        for (int64_t j = 0; j < degree; ++j) {
+          adj[v].push_back(static_cast<uint32_t>(rng.UniformUint64(nodes)));
+        }
+      }
+      std::vector<double> in(nodes);
+      for (double& x : in) x = std::pow(10.0, rng.UniformDouble(-300.0, 3.0));
+      std::vector<double> out(nodes, -1.0);
+      NeighborSums(
+          nodes, [&](uint32_t v) { return std::span<const uint32_t>(adj[v]); },
+          in.data(), out.data());
+      for (size_t v = 0; v < nodes; ++v) {
+        double expected = 0.0;
+        for (uint32_t u : adj[v]) expected += in[u];
+        EXPECT_EQ(std::bit_cast<uint64_t>(out[v]),
+                  std::bit_cast<uint64_t>(expected))
+            << nodes << " nodes, trial " << trial << ", node " << v;
+      }
+    }
+  }
 }
 
 // ---------- SamplePathEm ----------

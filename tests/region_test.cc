@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "region/decomposition.h"
 #include "region/merging.h"
@@ -356,6 +360,136 @@ TEST(RegionGraphTest, CountNgramsMatchesManualCount) {
     }
   }
   EXPECT_DOUBLE_EQ(graph.CountNgrams(3), trigrams);
+}
+
+// The all-pairs construction: every time-ordered pair of distinct regions
+// runs the bounding-box tests and, when they cannot decide, the exact POI
+// scan (smaller region's POIs against the larger one's, the first
+// argument on ties). RegionGraph::Build shares one spatial test among
+// regions with equal POI sets and must equal this edge for edge.
+std::vector<std::vector<RegionId>> AllPairsNeighbors(
+    const StcDecomposition& decomp, const model::ReachabilityConfig& reach) {
+  const model::PoiDatabase& db = decomp.db();
+  const double theta = reach.ReferenceThetaKm();
+  auto any_poi_pair_within = [&](const StcRegion& a, const StcRegion& b) {
+    const StcRegion& small = a.pois.size() <= b.pois.size() ? a : b;
+    const StcRegion& large = a.pois.size() <= b.pois.size() ? b : a;
+    for (model::PoiId p : small.pois) {
+      const geo::LatLon& loc = db.poi(p).location;
+      if (large.bounds.DistanceKm(loc) > theta) continue;
+      for (model::PoiId q : large.pois) {
+        if (geo::HaversineKm(loc, db.poi(q).location) <= theta) return true;
+      }
+    }
+    return false;
+  };
+  const int g_t = decomp.time().granularity_minutes();
+  const size_t n = decomp.num_regions();
+  std::vector<std::vector<RegionId>> adj(n);
+  for (RegionId a = 0; a < n; ++a) {
+    const StcRegion& ra = decomp.region(a);
+    for (RegionId b = 0; b < n; ++b) {
+      const StcRegion& rb = decomp.region(b);
+      if (!(rb.time.end > ra.time.begin + g_t)) continue;
+      if (!reach.unconstrained() && a != b) {
+        if (ra.bounds.MinDistanceKm(rb.bounds) > theta) continue;
+        if (ra.bounds.MaxDistanceKm(rb.bounds) > theta &&
+            !any_poi_pair_within(ra, rb)) {
+          continue;
+        }
+      }
+      adj[a].push_back(b);
+    }
+  }
+  return adj;
+}
+
+// True when two regions with distinct POI sets of equal size need the
+// exact POI scan under `reach` (their boxes cannot decide), so the scan's
+// small/large choice rests on argument order alone.
+bool HasUndecidedEqualSizePair(const StcDecomposition& decomp,
+                               const model::ReachabilityConfig& reach) {
+  const double theta = reach.ReferenceThetaKm();
+  for (const StcRegion& a : decomp.regions()) {
+    for (const StcRegion& b : decomp.regions()) {
+      if (a.pois.size() == b.pois.size() && a.pois != b.pois &&
+          a.bounds.MinDistanceKm(b.bounds) <= theta &&
+          a.bounds.MaxDistanceKm(b.bounds) > theta) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// An 8 × 8 lattice, 0.5 km apart, in which the two POIs of each
+// (cell, category) group keep staggered 12-hour days: POI (r, c) opens at
+// ((r + c) % 4) × 3 h. A group's set is {p}, then {p, q}, then {q} as the
+// day goes on, so sets recur across hours, distinct sets share members,
+// and distinct sets of equal size lie both within and beyond θ.
+StatusOr<model::PoiDatabase> StaggeredWorld() {
+  hierarchy::CategoryTree tree = trajldp::testing::MakeSmallTree();
+  const std::vector<hierarchy::CategoryId> leaves = tree.Leaves();
+  const geo::LatLon origin{40.7000, -74.0000};
+  std::vector<model::Poi> pois;
+  for (int r = 0; r < 8; ++r) {
+    for (int c = 0; c < 8; ++c) {
+      model::Poi poi;
+      poi.name = "poi_" + std::to_string(pois.size());
+      poi.location = geo::OffsetKm(origin, c * 0.5, r * 0.5);
+      poi.category = leaves[c % 2];
+      const int open = ((r + c) % 4) * 180;
+      poi.hours = model::OpeningHours::Daily(open, open + 720);
+      pois.push_back(std::move(poi));
+    }
+  }
+  return model::PoiDatabase::Create(std::move(pois), std::move(tree));
+}
+
+TEST(RegionGraphTest, BuildEqualsAllPairsReference) {
+  // Every POI of the default lattice is open all day, so each POI set
+  // recurs once per hour.
+  std::vector<std::pair<std::string, model::PoiDatabase>> worlds;
+  auto lattice = MakeGridWorld();
+  ASSERT_TRUE(lattice.ok());
+  worlds.emplace_back("lattice", std::move(*lattice));
+  auto staggered = StaggeredWorld();
+  ASSERT_TRUE(staggered.ok());
+  worlds.emplace_back("staggered", std::move(*staggered));
+  const model::ReachabilityConfig reaches[] = {
+      {2.0, 30}, {8.0, 30}, model::ReachabilityConfig::Unconstrained()};
+  bool undecided_equal_size = false;
+  for (const auto& [name, db] : worlds) {
+    for (size_t kappa : {1, 3}) {
+      auto decomp = StcDecomposition::Build(&db, TenMinutes(),
+                                            SmallConfig(kappa));
+      ASSERT_TRUE(decomp.ok());
+      std::set<std::vector<model::PoiId>> sets;
+      for (const StcRegion& region : decomp->regions()) {
+        sets.insert(region.pois);
+      }
+      EXPECT_LT(sets.size(), decomp->num_regions())
+          << name << " kappa " << kappa << ": no POI set recurs";
+      for (const model::ReachabilityConfig& reach : reaches) {
+        SCOPED_TRACE(name + " kappa " + std::to_string(kappa) + " speed " +
+                     std::to_string(reach.speed_kmh));
+        const RegionGraph graph = RegionGraph::Build(*decomp, reach);
+        const auto expected = AllPairsNeighbors(*decomp, reach);
+        ASSERT_EQ(graph.num_regions(), expected.size());
+        size_t edges = 0;
+        for (RegionId a = 0; a < expected.size(); ++a) {
+          EXPECT_TRUE(std::ranges::equal(graph.Neighbors(a), expected[a]))
+              << "region " << a;
+          edges += expected[a].size();
+        }
+        EXPECT_EQ(graph.num_edges(), edges);
+        if (!reach.unconstrained()) {
+          undecided_equal_size |= HasUndecidedEqualSizePair(*decomp, reach);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(undecided_equal_size);
 }
 
 // ---------- MBR candidates ----------
