@@ -10,13 +10,14 @@
 //     per-call solver allocations (see seed_replica.h);
 //  2. sequential  — today's per-user loop (cached rows + float-table
 //     gather), no workspaces: the engine's documented replay recipe,
-//     under the legacy REJECTION PoiPolicy;
+//     under the legacy REJECTION POI policy;
 //  3. engine, 1 thread / all hardware threads —
 //     BatchReleaseEngine::ReleaseAllFull with per-worker
 //     PipelineWorkspaces, rejection policy;
-//  4. guided      — the same pipeline under PoiPolicy::kGuided
-//     (reachability-table lookups + the exact increasing-time proposal),
-//     sequentially and through the engine at 1/all threads.
+//  4. guided      — the same pipeline on a mechanism built with
+//     poi.policy = kGuided (reachability-table lookups + the exact
+//     increasing-time proposal), sequentially and through the engine at
+//     1/all threads.
 //
 // Gates (exit non-zero on violation, so CI fails loudly):
 //  * rejection engine output bit-identical to (2) at every thread count
@@ -97,19 +98,34 @@ int Run(size_t num_users, const std::string& json_path) {
   // per-cell cliques, the regime the paper's city decompositions sit in.
   config.reachability.speed_kmh = 8.0;
   config.reachability.reference_gap_minutes = 30;
-  // One world serves both POI policies: build the reachability table so
-  // the guided-vs-rejection comparison is policy-only (the table never
-  // changes a rejection accept/reject bit — see core/reachability.h).
+  // One world serves both POI policies: the rejection mechanism builds
+  // the reachability table too, so the guided-vs-rejection comparison is
+  // policy-only (the table never changes a rejection accept/reject bit —
+  // see core/reachability.h).
   config.precompute_poi_reachability = true;
-  auto mech = core::NGramMechanism::Build(&*db, time, config);
-  if (!mech.ok()) {
-    std::cerr << mech.status() << "\n";
-    return 1;
+  core::NGramConfig guided_config = config;
+  guided_config.poi.policy = core::PoiPolicy::kGuided;
+  // Every leg that perturbs starts on an empty row cache: each runs on
+  // its own mechanism, all built here before any stopwatch starts
+  // (building one right before its leg measurably slowed that leg). In
+  // timing order: sequential, engine 1t, engine all threads (rejection),
+  // then the same three under the guided policy.
+  std::vector<core::NGramMechanism> legs;
+  for (const core::NGramConfig* leg_config :
+       {&config, &config, &config, &guided_config, &guided_config,
+        &guided_config}) {
+    auto leg = core::NGramMechanism::Build(&*db, time, *leg_config);
+    if (!leg.ok()) {
+      std::cerr << leg.status() << "\n";
+      return 1;
+    }
+    legs.push_back(std::move(*leg));
   }
+  const core::NGramMechanism& mech = legs[0];
 
-  const auto& decomp = mech->decomposition();
-  const auto& graph = mech->graph();
-  const auto& distance = mech->distance();
+  const auto& decomp = mech.decomposition();
+  const auto& graph = mech.graph();
+  const auto& distance = mech.distance();
   const size_t num_regions = decomp.num_regions();
   std::cout << "world: " << num_regions << " regions, " << graph.num_edges()
             << " edges, " << num_users << " users, n=" << kN
@@ -182,12 +198,11 @@ int Run(size_t num_users, const std::string& json_path) {
   core::StageBreakdown stages;
   double sequential_seconds = 0.0;
   {
-    mech->domain().ClearCache();
     Stopwatch watch;
     for (size_t i = 0; i < users.size(); ++i) {
       Rng user_rng = root.Substream(i);
       auto release =
-          mech->ReleaseFromRegions(users[i], user_rng, nullptr, &stages);
+          mech.ReleaseFromRegions(users[i], user_rng, nullptr, &stages);
       if (!release.ok()) {
         std::cerr << "sequential: " << release.status() << "\n";
         return 1;
@@ -206,15 +221,12 @@ int Run(size_t num_users, const std::string& json_path) {
     bool llc = false;
     bench::HwSample sample;
   };
-  auto run_engine = [&](size_t threads, core::PoiPolicy policy,
+  auto run_engine = [&](const core::NGramMechanism& leg_mech, size_t threads,
                         double& seconds, HwStats* hw_out)
       -> StatusOr<std::vector<core::FullRelease>> {
-    core::BatchReleaseEngine::Config engine_config;
-    engine_config.num_threads = threads;
-    engine_config.poi_policy = policy;
     bench::HwCounters hw;
-    core::BatchReleaseEngine engine(&*mech, engine_config);
-    mech->domain().ClearCache();
+    core::BatchReleaseEngine engine(
+        &leg_mech, core::BatchReleaseEngine::Config{threads});
     hw.Start();
     Stopwatch watch;
     auto result = engine.ReleaseAllFull(users, kSeed);
@@ -237,16 +249,15 @@ int Run(size_t num_users, const std::string& json_path) {
 
   double engine1_seconds = 0.0;
   HwStats engine1_hw;
-  auto engine1 = run_engine(1, core::PoiPolicy::kRejection, engine1_seconds,
-                            &engine1_hw);
+  auto engine1 = run_engine(legs[1], 1, engine1_seconds, &engine1_hw);
   if (!engine1.ok()) {
     std::cerr << "engine(1): " << engine1.status() << "\n";
     return 1;
   }
   const size_t hw_threads = ThreadPool::DefaultThreadCount();
   double engine_hw_seconds = 0.0;
-  auto engine_hw = run_engine(hw_threads, core::PoiPolicy::kRejection,
-                              engine_hw_seconds, nullptr);
+  auto engine_hw =
+      run_engine(legs[2], hw_threads, engine_hw_seconds, nullptr);
   if (!engine_hw.ok()) {
     std::cerr << "engine(" << hw_threads << "): " << engine_hw.status()
               << "\n";
@@ -254,14 +265,12 @@ int Run(size_t num_users, const std::string& json_path) {
   }
 
   // --- 4. Guided policy: sequential stage split + engine runs. -------
-  const core::CollectorPipeline guided_pipe =
-      mech->pipeline(core::PoiPolicy::kGuided);
+  const core::CollectorPipeline guided_pipe = legs[3].pipeline();
   std::vector<core::FullRelease> guided_sequential(users.size());
   core::StageBreakdown guided_stages;
   double guided_sequential_seconds = 0.0;
   {
     core::PipelineWorkspace ws;
-    mech->domain().ClearCache();
     Stopwatch watch;
     for (size_t i = 0; i < users.size(); ++i) {
       Rng user_rng = root.Substream(i);
@@ -277,15 +286,14 @@ int Run(size_t num_users, const std::string& json_path) {
 
   double guided1_seconds = 0.0;
   HwStats guided1_hw;
-  auto guided1 = run_engine(1, core::PoiPolicy::kGuided, guided1_seconds,
-                            &guided1_hw);
+  auto guided1 = run_engine(legs[4], 1, guided1_seconds, &guided1_hw);
   if (!guided1.ok()) {
     std::cerr << "guided engine(1): " << guided1.status() << "\n";
     return 1;
   }
   double guided_hw_seconds = 0.0;
-  auto guided_hw = run_engine(hw_threads, core::PoiPolicy::kGuided,
-                              guided_hw_seconds, nullptr);
+  auto guided_hw =
+      run_engine(legs[5], hw_threads, guided_hw_seconds, nullptr);
   if (!guided_hw.ok()) {
     std::cerr << "guided engine(" << hw_threads
               << "): " << guided_hw.status() << "\n";

@@ -128,7 +128,6 @@ int Run(size_t num_users, const std::string& json_path) {
   sequential.reserve(users.size());
   double sequential_seconds = 0.0;
   {
-    domain.ClearCache();
     core::SamplerWorkspace ws;
     Stopwatch watch;
     for (size_t i = 0; i < users.size(); ++i) {

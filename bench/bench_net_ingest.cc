@@ -186,7 +186,6 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
   auto run_inmem = [&](bool stage_timing) -> StatusOr<LegResult> {
     auto frames = encode_frames(reports);
     if (!frames.ok()) return frames.status();
-    mech->domain().ClearCache();
     std::vector<std::vector<core::UserRelease>> outputs(1);
     LegResult result;
     auto timed_config = collector_config;
@@ -223,7 +222,6 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
       frames[s] = std::move(*encoded);
     }
 
-    mech->domain().ClearCache();
     std::vector<std::vector<core::UserRelease>> outputs(num_shards);
     std::vector<std::unique_ptr<core::StreamingCollector>> collectors;
     std::vector<std::unique_ptr<net::IngestServer>> servers;
@@ -282,7 +280,6 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
         (std::filesystem::temp_directory_path() / "bench_net_ingest.journal")
             .string();
     std::filesystem::remove(journal_path);
-    mech->domain().ClearCache();
     std::vector<std::vector<core::UserRelease>> outputs(1);
     LegResult result;
     Stopwatch watch;
@@ -487,7 +484,6 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
       return Status::Internal("churn leg: " + what);
     };
 
-    mech->domain().ClearCache();
     std::vector<std::vector<core::UserRelease>> outputs(1);
     Stopwatch watch;
     {

@@ -229,7 +229,6 @@ int Run(size_t num_users, const std::string& json_path) {
         bundles.push_back(std::move(bundle));
       }
     }
-    mech->domain().ClearCache();
     Stopwatch watch;
     for (size_t s = 0; s < num_shards; ++s) {
       core::StreamingCollector::Config collector_config;

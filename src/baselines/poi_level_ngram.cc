@@ -19,9 +19,8 @@ StatusOr<PoiLevelNgramMechanism> PoiLevelNgramMechanism::Build(
   if (config.n < 1) {
     return Status::InvalidArgument("n must be >= 1");
   }
-  if (!(config.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  TRAJLDP_RETURN_NOT_OK(
+      ldp::ValidateBudget(config.epsilon, config.quality_sensitivity));
 
   PoiLevelNgramMechanism mech;
   mech.config_ = config;

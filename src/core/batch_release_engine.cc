@@ -13,8 +13,7 @@ BatchReleaseEngine::BatchReleaseEngine(const NgramPerturber* perturber,
 BatchReleaseEngine::BatchReleaseEngine(const NGramMechanism* mechanism,
                                        Config config)
     : perturber_(&mechanism->perturber()),
-      pipeline_(mechanism->pipeline(config.poi_policy.value_or(
-          mechanism->config().poi.policy))),
+      pipeline_(mechanism->pipeline()),
       pool_(config.num_threads) {}
 
 template <typename Out, typename PerUserFn>

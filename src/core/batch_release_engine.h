@@ -52,11 +52,6 @@ class BatchReleaseEngine {
   struct Config {
     /// Worker threads; 0 → all hardware threads.
     size_t num_threads = 0;
-    /// §5.6 POI sampling policy for ReleaseAllFull; unset → the
-    /// mechanism's configured policy. Both policies draw from the same
-    /// conditional distribution (see PoiPolicy); rejection additionally
-    /// reproduces the paper loop draw-for-draw.
-    std::optional<PoiPolicy> poi_policy;
   };
 
   /// Perturb-only engine. `perturber` (and the domain/graph/distance

@@ -22,16 +22,14 @@ CollectorPipeline::CollectorPipeline(
     const region::StcDecomposition* decomp,
     const region::RegionDistance* distance, const region::RegionGraph* graph,
     const NgramPerturber* perturber, const Reconstructor* reconstructor,
-    const PoiReconstructor* poi_reconstructor, double mbr_expand_km,
-    PoiPolicy poi_policy)
+    const PoiReconstructor* poi_reconstructor, double mbr_expand_km)
     : decomp_(decomp),
       distance_(distance),
       graph_(graph),
       perturber_(perturber),
       reconstructor_(reconstructor),
       poi_reconstructor_(poi_reconstructor),
-      mbr_expand_km_(mbr_expand_km),
-      poi_policy_(poi_policy) {}
+      mbr_expand_km_(mbr_expand_km) {}
 
 Rng CollectorPipeline::UserRng(uint64_t seed, uint64_t user_id) {
   return Rng(seed).Substream(user_id);
@@ -115,10 +113,10 @@ Status CollectorPipeline::ReconstructReportInto(size_t trajectory_len,
       ReconstructRegionsInto(trajectory_len, z, ws, out.regions, stages));
 
   // Stage: POI-level resampling with time-smoothing fallback (§5.6),
-  // under this pipeline's collector policy.
+  // under the mechanism's configured policy.
   Stopwatch watch;
-  auto poi = poi_reconstructor_->Reconstruct(out.regions, collector_rng,
-                                             ws.poi, poi_policy_);
+  auto poi =
+      poi_reconstructor_->Reconstruct(out.regions, collector_rng, ws.poi);
   if (!poi.ok()) return poi.status();
   out.trajectory = std::move(poi->trajectory);
   out.poi_attempts = poi->attempts;

@@ -113,19 +113,18 @@ class CollectorPipeline {
   static constexpr uint64_t kCollectorStream = 0x636F6C6C6563746FULL;
 
   /// All pointees must outlive the pipeline. Usually obtained from
-  /// NGramMechanism::pipeline() rather than assembled by hand.
-  /// `poi_policy` selects the §5.6 sampling policy for every release this
-  /// pipeline performs (see PoiPolicy — both policies draw from the same
-  /// conditional distribution; only rejection mode is draw-for-draw
-  /// bit-compatible with the paper loop).
+  /// NGramMechanism::pipeline() rather than assembled by hand. The §5.6
+  /// POI sampling policy is `poi_reconstructor`'s configured one (see
+  /// PoiPolicy — both policies draw from the same conditional
+  /// distribution; only rejection mode is draw-for-draw bit-compatible
+  /// with the paper loop).
   CollectorPipeline(const region::StcDecomposition* decomp,
                     const region::RegionDistance* distance,
                     const region::RegionGraph* graph,
                     const NgramPerturber* perturber,
                     const Reconstructor* reconstructor,
                     const PoiReconstructor* poi_reconstructor,
-                    double mbr_expand_km,
-                    PoiPolicy poi_policy = PoiPolicy::kRejection);
+                    double mbr_expand_km);
 
   /// The canonical per-user generator: Rng(seed).Substream(user_id).
   static Rng UserRng(uint64_t seed, uint64_t user_id);
@@ -172,7 +171,6 @@ class CollectorPipeline {
 
   const NgramPerturber& perturber() const { return *perturber_; }
   size_t num_regions() const;
-  PoiPolicy poi_policy() const { return poi_policy_; }
 
  private:
   const region::StcDecomposition* decomp_;
@@ -182,7 +180,6 @@ class CollectorPipeline {
   const Reconstructor* reconstructor_;
   const PoiReconstructor* poi_reconstructor_;
   double mbr_expand_km_;
-  PoiPolicy poi_policy_;
 };
 
 }  // namespace trajldp::core

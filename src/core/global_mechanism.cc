@@ -25,9 +25,8 @@ GlobalMechanism::GlobalMechanism(const model::PoiDatabase* db,
 StatusOr<GlobalMechanism> GlobalMechanism::Create(
     const model::PoiDatabase* db, const model::TimeDomain& time,
     Config config) {
-  if (!(config.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  TRAJLDP_RETURN_NOT_OK(
+      ldp::ValidateBudget(config.epsilon, config.quality_sensitivity));
   if (config.max_candidates == 0) {
     return Status::InvalidArgument("max_candidates must be positive");
   }

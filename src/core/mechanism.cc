@@ -1,10 +1,10 @@
 #include "core/mechanism.h"
 
-#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "ldp/exponential_mechanism.h"
 
 namespace trajldp::core {
 
@@ -14,16 +14,8 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   if (config.n < 1) {
     return Status::InvalidArgument("n must be >= 1");
   }
-  if (!(config.epsilon > 0.0) || !std::isfinite(config.epsilon)) {
-    return Status::InvalidArgument("epsilon must be positive and finite");
-  }
-  // 0 selects the strict sensitivity; a negative or NaN value would
-  // silently do the same, and +inf would flatten every draw to uniform.
-  if (!(config.quality_sensitivity >= 0.0) ||
-      !std::isfinite(config.quality_sensitivity)) {
-    return Status::InvalidArgument(
-        "quality_sensitivity must be finite and >= 0 (0 = strict)");
-  }
+  TRAJLDP_RETURN_NOT_OK(
+      ldp::ValidateBudget(config.epsilon, config.quality_sensitivity));
 
   NGramMechanism mech;
   mech.config_ = config;
@@ -53,12 +45,7 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   // seed preprocessing profile bit-for-bit.
   if (config.poi.policy == PoiPolicy::kGuided ||
       config.precompute_poi_reachability) {
-    // The samplers only read the min-gap matrix; skip the successor CSR
-    // (set-valued consumers build their own table with it enabled).
-    ReachabilityTable::Options options;
-    options.build_successors = false;
-    auto table =
-        ReachabilityTable::Build(*db, time, config.reachability, options);
+    auto table = ReachabilityTable::Build(*db, time, config.reachability);
     if (!table.ok()) return table.status();
     mech.reachability_table_ =
         std::make_unique<ReachabilityTable>(std::move(*table));
@@ -76,14 +63,9 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
 }
 
 CollectorPipeline NGramMechanism::pipeline() const {
-  return pipeline(config_.poi.policy);
-}
-
-CollectorPipeline NGramMechanism::pipeline(PoiPolicy poi_policy) const {
   return CollectorPipeline(decomp_.get(), distance_.get(), graph_.get(),
                            perturber_.get(), reconstructor_.get(),
-                           poi_reconstructor_.get(), config_.mbr_expand_km,
-                           poi_policy);
+                           poi_reconstructor_.get(), config_.mbr_expand_km);
 }
 
 StatusOr<region::RegionTrajectory> NGramMechanism::PerturbRegions(

@@ -34,10 +34,11 @@ struct NGramConfig {
   /// Reachability constraint θ (§4.1).
   model::ReachabilityConfig reachability;
   /// POI-level reconstruction settings (§5.6), including the collector
-  /// sampling policy (rejection vs guided — see PoiPolicy).
+  /// sampling policy (rejection vs guided — see PoiPolicy). This is the
+  /// one place the policy is chosen.
   PoiReconstructor::Config poi;
   /// Build the POI-pair reachability table (core::ReachabilityTable) at
-  /// Build() time even when the default policy is rejection. The guided
+  /// Build() time even when the policy is rejection. The guided
   /// policy always builds it; rejection-only deployments opt in to get
   /// table-lookup IsFeasible (bit-identical accept/reject decisions,
   /// O(P²) preprocessing + 2·P² bytes — docs/POI_SAMPLING.md has the
@@ -104,18 +105,11 @@ class NGramMechanism {
       PipelineWorkspace* ws = nullptr, StageBreakdown* stages = nullptr) const;
 
   /// The reusable per-user pipeline over this mechanism's components,
-  /// running the configured POI policy. Cheap to copy (a bundle of const
+  /// running the configured POI policy (NGramConfig::poi.policy — the
+  /// one place it is chosen). Cheap to copy (a bundle of const
   /// pointers); stays valid across moves of this mechanism (components
   /// are heap-owned) but not past its destruction.
   CollectorPipeline pipeline() const;
-
-  /// Same components, explicit POI policy — how BatchReleaseEngine and
-  /// StreamingCollector select rejection vs guided per deployment
-  /// without rebuilding the mechanism. A guided pipeline over a
-  /// mechanism built without a reachability table still works (the
-  /// sampler falls back to formula reachability); build with the guided
-  /// policy or precompute_poi_reachability for the accelerated path.
-  CollectorPipeline pipeline(PoiPolicy poi_policy) const;
 
   const NGramConfig& config() const { return config_; }
   const NgramPerturber& perturber() const { return *perturber_; }

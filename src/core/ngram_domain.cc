@@ -2,8 +2,8 @@
 
 #include <bit>
 #include <cmath>
-#include <iterator>
 #include <mutex>
+#include <utility>
 
 namespace trajldp::core {
 
@@ -44,92 +44,42 @@ void NgramDomain::ComputeSuffixRow(const std::vector<double>& weight_row,
 }
 
 template <typename ComputeFn>
-NgramDomain::RowPtr NgramDomain::LookupOrCompute(RowCache& cache,
-                                                 const RowKey& key,
-                                                 ComputeFn&& compute) const {
-  const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed);
+const std::vector<double>& NgramDomain::LookupOrCompute(
+    RowCache& cache, const RowKey& key, ComputeFn&& compute) const {
   {
     std::shared_lock<std::shared_mutex> lock(cache_mu_);
     const auto it = cache.map.find(key);
     if (it != cache.map.end()) {
       cache.hits.fetch_add(1, std::memory_order_relaxed);
-      it->second->last_used.store(tick, std::memory_order_relaxed);
-      return it->second->row;
+      return it->second;
     }
   }
   // Compute outside the lock; another thread may race us to the insert,
   // in which case its identical row wins and ours is discarded.
-  auto computed = std::make_shared<std::vector<double>>();
-  compute(*computed);
-  auto entry = std::make_unique<CacheEntry>();
-  entry->row = std::move(computed);
-  entry->last_used.store(tick, std::memory_order_relaxed);
+  std::vector<double> computed;
+  compute(computed);
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  const auto [it, inserted] = cache.map.try_emplace(key, std::move(entry));
+  const auto [it, inserted] = cache.map.try_emplace(key, std::move(computed));
   (inserted ? cache.misses : cache.hits)
       .fetch_add(1, std::memory_order_relaxed);
-  it->second->last_used.store(tick, std::memory_order_relaxed);
-  RowPtr row = it->second->row;
-  if (inserted) {
-    cache.rows.fetch_add(1, std::memory_order_relaxed);
-    EvictOverCapacity(cache);
-  }
-  return row;
+  if (inserted) cache.rows.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
 }
 
-void NgramDomain::EvictOverCapacity(RowCache& cache) const {
-  const size_t capacity = cache_capacity_.load(std::memory_order_relaxed);
-  if (capacity == 0) return;
-  // The scan is O(occupancy) but runs only on an over-capacity insert,
-  // where occupancy ≤ capacity + 1 — bounded by construction.
-  while (cache.map.size() > capacity) {
-    auto victim = cache.map.begin();
-    uint64_t oldest = victim->second->last_used.load(std::memory_order_relaxed);
-    for (auto it = std::next(cache.map.begin()); it != cache.map.end();
-         ++it) {
-      const uint64_t used =
-          it->second->last_used.load(std::memory_order_relaxed);
-      if (used < oldest) {
-        oldest = used;
-        victim = it;
-      }
-    }
-    cache.map.erase(victim);  // pinned borrowers keep the row alive
-    cache.rows.fetch_sub(1, std::memory_order_relaxed);
-    cache.evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-NgramDomain::RowPtr NgramDomain::CachedWeightRow(RegionId r,
-                                                 double scale) const {
+const std::vector<double>& NgramDomain::CachedWeightRow(RegionId r,
+                                                        double scale) const {
   const RowKey key{r, std::bit_cast<uint64_t>(scale)};
   return LookupOrCompute(
       weight_cache_, key,
       [&](std::vector<double>& row) { ComputeWeightRow(r, scale, row); });
 }
 
-NgramDomain::RowPtr NgramDomain::CachedSuffixRow(RegionId r,
-                                                 double scale) const {
+const std::vector<double>& NgramDomain::CachedSuffixRow(RegionId r,
+                                                        double scale) const {
   const RowKey key{r, std::bit_cast<uint64_t>(scale)};
   return LookupOrCompute(suffix_cache_, key, [&](std::vector<double>& row) {
-    ComputeSuffixRow(*CachedWeightRow(r, scale), row);
+    ComputeSuffixRow(CachedWeightRow(r, scale), row);
   });
-}
-
-void NgramDomain::set_cache_capacity(size_t max_rows) {
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  cache_capacity_.store(max_rows, std::memory_order_relaxed);
-  // Shrinking must free memory now, not on the next insert.
-  EvictOverCapacity(weight_cache_);
-  EvictOverCapacity(suffix_cache_);
-}
-
-void NgramDomain::ClearCache() const {
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  for (RowCache* cache : {&weight_cache_, &suffix_cache_}) {
-    cache->map.clear();
-    cache->rows.store(0, std::memory_order_relaxed);
-  }
 }
 
 CacheStats NgramDomain::cache_stats() const {
@@ -140,10 +90,6 @@ CacheStats NgramDomain::cache_stats() const {
   stats.weight_misses = weight_cache_.misses.load(std::memory_order_relaxed);
   stats.suffix_hits = suffix_cache_.hits.load(std::memory_order_relaxed);
   stats.suffix_misses = suffix_cache_.misses.load(std::memory_order_relaxed);
-  stats.weight_evictions =
-      weight_cache_.evictions.load(std::memory_order_relaxed);
-  stats.suffix_evictions =
-      suffix_cache_.evictions.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -170,20 +116,12 @@ Status NgramDomain::SampleInto(std::span<const RegionId> input,
   const double scale = epsilon / (2.0 * Sensitivity(static_cast<int>(n)));
   ws.rows.resize(n);
   std::span<const double> suffix;
-  ws.pins.clear();
   if (cache_enabled_) {
-    // Pins hold shared ownership until the draw completes, so an LRU
-    // eviction — by another thread, or by this draw's own later lookups
-    // under a small cap — can never free a row mid-sample.
-    ws.pins.reserve(n + 1);
+    // Cached rows live as long as the domain: borrowing is enough.
     for (size_t k = 0; k < n; ++k) {
-      ws.pins.push_back(CachedWeightRow(input[k], scale));
-      ws.rows[k] = ws.pins.back()->data();
+      ws.rows[k] = CachedWeightRow(input[k], scale).data();
     }
-    if (n >= 2) {
-      ws.pins.push_back(CachedSuffixRow(input[n - 1], scale));
-      suffix = *ws.pins.back();
-    }
+    if (n >= 2) suffix = CachedSuffixRow(input[n - 1], scale);
   } else {
     if (ws.scratch.size() < n + 1) ws.scratch.resize(n + 1);
     for (size_t k = 0; k < n; ++k) {
@@ -196,14 +134,10 @@ Status NgramDomain::SampleInto(std::span<const RegionId> input,
     }
   }
 
-  const Status status = SamplePathEmInto(
+  return SamplePathEmInto(
       num_regions, [this](uint32_t v) { return graph_->Neighbors(v); },
       std::span<const double* const>(ws.rows.data(), n), suffix, rng, ws,
       out);
-  // Release the pins now that the draw is done — an idle workspace must
-  // not keep evicted rows alive past the capacity the cap promises.
-  ws.pins.clear();
-  return status;
 }
 
 StatusOr<std::vector<RegionId>> NgramDomain::Sample(

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -18,7 +17,7 @@
 
 namespace trajldp::core {
 
-/// Cache occupancy, hit, and eviction counters (diagnostics & tests).
+/// Cache occupancy, hit, and miss counters (diagnostics & tests).
 /// Read lock-free: every counter is an atomic in the domain.
 struct CacheStats {
   size_t weight_rows = 0;
@@ -27,8 +26,6 @@ struct CacheStats {
   size_t weight_misses = 0;
   size_t suffix_hits = 0;
   size_t suffix_misses = 0;
-  size_t weight_evictions = 0;
-  size_t suffix_evictions = 0;
 };
 
 /// \brief Reusable buffers for the path-EM sampler. One per thread.
@@ -48,10 +45,6 @@ struct SamplerWorkspace {
   std::vector<const double*> rows;
   /// Row storage when the domain's cache is disabled.
   std::vector<std::vector<double>> scratch;
-  /// Shared-ownership pins on cached rows for the duration of one draw,
-  /// so an LRU eviction on another thread can never free a row this
-  /// thread's sampler is still reading.
-  std::vector<std::shared_ptr<const std::vector<double>>> pins;
 };
 
 /// The neighbour-sum kernel: out[v] = Σ_{u∈adj(v)} in[u] for every node
@@ -251,17 +244,14 @@ StatusOr<std::vector<uint32_t>> SamplePathEm(
 /// can change a draw, since every row is a pure function of
 /// (region, scale).
 ///
-/// ### LRU cap (per-user ε workloads)
+/// ### Row lifetime
 ///
-/// Under a fixed collector policy the key space is |R| and the caches
-/// plateau, but when users bring their own ε (so every trajectory-length
-/// × ε combination mints a new scale), the key space is unbounded.
-/// set_cache_capacity(k) caps EACH cache at exactly k rows with global
-/// least-recently-used eviction. Rows are shared_ptr-owned and samplers
-/// pin them for the duration of a draw, so eviction never invalidates a
-/// row in flight; a re-computed row is bit-identical to the evicted one
-/// (a pure function of (region, scale)), so capping — like disabling —
-/// changes memory and speed, never draws.
+/// The caches are insert-only: a row, once computed, is owned by its map
+/// entry and neither moves nor is freed until the domain is destroyed,
+/// so samplers borrow plain `const double*` rows with no pinning. Memory
+/// stays bounded without a cap: under one mechanism ε and n are fixed,
+/// so the key space is |R| × the distinct (trajectory length, n-gram
+/// length) scales a workload produces.
 class NgramDomain {
  public:
   /// `graph` and `distance` must outlive this object and refer to the
@@ -301,26 +291,7 @@ class NgramDomain {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// Caps each row cache at exactly `max_rows` entries with global LRU
-  /// eviction (0, the default, = unbounded). Safe to call concurrently
-  /// with SampleInto: in-flight draws hold pins on any rows they
-  /// borrowed, so shrinking the cap mid-draw frees memory without
-  /// invalidating a row being read.
-  void set_cache_capacity(size_t max_rows);
-  size_t cache_capacity() const {
-    return cache_capacity_.load(std::memory_order_relaxed);
-  }
-
-  /// Drops every cached row (e.g. between benchmark repetitions).
-  /// Safe to call concurrently with SampleInto: samplers hold shared-
-  /// ownership pins on every row they borrowed for the duration of the
-  /// draw, so a concurrent clear frees no memory still being read — an
-  /// in-flight draw simply completes on the rows it pinned (bit-
-  /// identical, rows being pure functions of (region, scale)), and later
-  /// draws recompute.
-  void ClearCache() const;
-
-  /// Occupancy, hit, and eviction counters of both caches. Lock-free.
+  /// Occupancy, hit, and miss counters of both caches. Lock-free.
   CacheStats cache_stats() const;
 
   const region::RegionGraph& graph() const { return *graph_; }
@@ -343,26 +314,16 @@ class NgramDomain {
       return static_cast<size_t>(h);
     }
   };
-  using RowPtr = std::shared_ptr<const std::vector<double>>;
-
-  /// A cached row plus its LRU clock. Rows are shared_ptr-owned so
-  /// borrowers pin them across evictions; unique_ptr entries keep the
-  /// atomic clock address-stable across rehashes.
-  struct CacheEntry {
-    RowPtr row;
-    /// Tick of the last lookup, written under the shared lock (atomic,
-    /// relaxed: an approximate order is all LRU needs).
-    std::atomic<uint64_t> last_used{0};
-  };
-
   /// One row cache: its map, guarded by cache_mu_, and every counter the
-  /// map feeds — atomics, so cache_stats() never takes the lock.
+  /// map feeds — atomics, so cache_stats() never takes the lock. Map
+  /// nodes never move (rehashing relinks them), and entries are never
+  /// erased or modified, so a row's buffer stays valid for the domain's
+  /// lifetime.
   struct RowCache {
-    std::unordered_map<RowKey, std::unique_ptr<CacheEntry>, RowKeyHash> map;
+    std::unordered_map<RowKey, std::vector<double>, RowKeyHash> map;
     std::atomic<size_t> rows{0};
     std::atomic<size_t> hits{0};
     std::atomic<size_t> misses{0};
-    std::atomic<size_t> evictions{0};
   };
 
   /// exp(−scale·d(r, ·)) over the cached float distance row.
@@ -374,18 +335,17 @@ class NgramDomain {
 
   /// Double-checked cache protocol shared by both row caches: shared-lock
   /// lookup, compute outside any lock on miss, try_emplace under the
-  /// unique lock (a racing thread's identical row wins ties), then LRU
-  /// eviction down to cache_capacity().
+  /// unique lock (a racing thread's identical row wins ties). The
+  /// returned row lives as long as the domain.
   template <typename ComputeFn>
-  RowPtr LookupOrCompute(RowCache& cache, const RowKey& key,
-                         ComputeFn&& compute) const;
+  const std::vector<double>& LookupOrCompute(RowCache& cache,
+                                             const RowKey& key,
+                                             ComputeFn&& compute) const;
 
-  /// Drops least-recently-used entries until `cache` fits
-  /// cache_capacity(). Caller holds cache_mu_ exclusively.
-  void EvictOverCapacity(RowCache& cache) const;
-
-  RowPtr CachedWeightRow(region::RegionId r, double scale) const;
-  RowPtr CachedSuffixRow(region::RegionId r, double scale) const;
+  const std::vector<double>& CachedWeightRow(region::RegionId r,
+                                             double scale) const;
+  const std::vector<double>& CachedSuffixRow(region::RegionId r,
+                                             double scale) const;
 
   const region::RegionGraph* graph_;
   const region::RegionDistance* distance_;
@@ -395,8 +355,6 @@ class NgramDomain {
   mutable std::shared_mutex cache_mu_;
   mutable RowCache weight_cache_;
   mutable RowCache suffix_cache_;
-  std::atomic<size_t> cache_capacity_{0};  // 0 = unbounded
-  mutable std::atomic<uint64_t> lru_tick_{0};
 };
 
 }  // namespace trajldp::core

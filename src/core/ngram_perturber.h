@@ -34,9 +34,8 @@ class NgramPerturber {
 
   const Config& config() const { return config_; }
 
-  /// The domain this perturber draws from (e.g. to read cache stats or
-  /// clear the cache on the engine path, which only holds the
-  /// perturber).
+  /// The domain this perturber draws from (e.g. to read cache stats on
+  /// the engine path, which only holds the perturber).
   const NgramDomain& domain() const { return *domain_; }
 
   /// Number of EM invocations for a trajectory of length `len`:

@@ -207,12 +207,6 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
 
 StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
     const region::RegionTrajectory& regions, Rng& rng, Workspace& ws) const {
-  return Reconstruct(regions, rng, ws, config_.policy);
-}
-
-StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
-    const region::RegionTrajectory& regions, Rng& rng, Workspace& ws,
-    PoiPolicy policy) const {
   if (regions.empty()) {
     return Status::InvalidArgument("region trajectory is empty");
   }
@@ -238,7 +232,7 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
   }
   const std::vector<Slot>& slots = ws.slots;
 
-  if (policy == PoiPolicy::kGuided) {
+  if (config_.policy == PoiPolicy::kGuided) {
     // Guided draws use their own substream so the collector stream `rng`
     // stays untouched: a fallback below replays the rejection policy
     // bit-for-bit, and rejection-mode consumers never see guided draws.

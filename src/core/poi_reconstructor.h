@@ -14,9 +14,9 @@
 
 namespace trajldp::core {
 
-/// \brief Collector-side POI sampling policy (§5.6), selectable
-/// end-to-end through CollectorPipeline / BatchReleaseEngine /
-/// StreamingCollector.
+/// \brief Collector-side POI sampling policy (§5.6), chosen once per
+/// mechanism by NGramConfig::poi.policy (PoiReconstructor::Config::policy)
+/// and run by every pipeline, engine and collector built from it.
 ///
 /// Both policies draw from the SAME distribution — uniform over the
 /// feasible (POI, timestep) assignments of the region sequence — and
@@ -141,12 +141,6 @@ class PoiReconstructor {
   /// Thread-safe given one workspace and Rng per thread.
   StatusOr<Result> Reconstruct(const region::RegionTrajectory& regions,
                                Rng& rng, Workspace& ws) const;
-
-  /// Policy-explicit variant: the collector pipeline selects the policy
-  /// per deployment without rebuilding the mechanism.
-  StatusOr<Result> Reconstruct(const region::RegionTrajectory& regions,
-                               Rng& rng, Workspace& ws,
-                               PoiPolicy policy) const;
 
   const Config& config() const { return config_; }
   const ReachabilityTable* table() const { return table_; }

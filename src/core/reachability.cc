@@ -1,7 +1,6 @@
 #include "core/reachability.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 namespace trajldp::core {
@@ -64,55 +63,7 @@ StatusOr<ReachabilityTable> ReachabilityTable::Build(
       table.min_gap_[to * p + from] = gap;
     }
   }
-
-  const size_t csr_bytes = p * p * sizeof(model::PoiId) +
-                           p * (static_cast<size_t>(num_t) + 1) *
-                               sizeof(uint32_t);
-  if (options.build_successors &&
-      matrix_bytes + csr_bytes <= options.max_bytes) {
-    table.successors_.resize(p * p);
-    table.successor_offsets_.assign(
-        p * (static_cast<size_t>(num_t) + 1), 0);
-    std::vector<model::PoiId> order(p);
-    for (size_t from = 0; from < p; ++from) {
-      const uint16_t* row = table.min_gap_.data() + from * p;
-      std::iota(order.begin(), order.end(), model::PoiId{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [row](model::PoiId a, model::PoiId b) {
-                         return row[a] < row[b];
-                       });
-      std::copy(order.begin(), order.end(),
-                table.successors_.begin() + from * p);
-      // offsets[g] = #successors with min-gap ≤ g: walk the sorted row
-      // once, carrying the running count across buckets.
-      uint32_t* offsets =
-          table.successor_offsets_.data() +
-          from * (static_cast<size_t>(num_t) + 1);
-      size_t i = 0;
-      for (model::Timestep g = 0; g <= num_t; ++g) {
-        while (i < p && row[order[i]] <= g) ++i;
-        offsets[static_cast<size_t>(g)] = static_cast<uint32_t>(i);
-      }
-    }
-  }
   return table;
-}
-
-std::span<const model::PoiId> ReachabilityTable::SuccessorsWithin(
-    model::PoiId from, model::Timestep gap_timesteps) const {
-  if (!has_successors() || gap_timesteps <= 0) return {};
-  const model::Timestep g = std::min(gap_timesteps, num_timesteps_);
-  const size_t count =
-      successor_offsets_[static_cast<size_t>(from) *
-                             (static_cast<size_t>(num_timesteps_) + 1) +
-                         static_cast<size_t>(g)];
-  return {successors_.data() + static_cast<size_t>(from) * num_pois_, count};
-}
-
-size_t ReachabilityTable::MemoryBytes() const {
-  return min_gap_.size() * sizeof(uint16_t) +
-         successors_.size() * sizeof(model::PoiId) +
-         successor_offsets_.size() * sizeof(uint32_t);
 }
 
 }  // namespace trajldp::core

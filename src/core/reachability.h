@@ -2,7 +2,6 @@
 #define TRAJLDP_CORE_REACHABILITY_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/status_or.h"
@@ -12,7 +11,7 @@
 
 namespace trajldp::core {
 
-/// \brief Precomputed POI-pair reachability, bucketed by time budget.
+/// \brief Precomputed POI-pair reachability for every time budget.
 ///
 /// model::Reachability answers "can q be reached from p within a gap of
 /// g timesteps?" with a haversine distance per query — fine for one
@@ -33,36 +32,21 @@ namespace trajldp::core {
 ///    so lookups are **exactly** equivalent to the formula for every
 ///    integer gap — a collector may swap it in under the legacy
 ///    rejection sampler without changing a single accept/reject bit.
-///  * **successor CSR** (optional) — per source POI, all successors
-///    sorted by min-gap (ties by id), plus per-(poi, time-budget bucket)
-///    offsets with one bucket per timestep budget g ∈ [0, |T|]. The
-///    prefix `successors(p)[0, offset(p, g))` *is* the exact reachable
-///    set for budget g, so "every POI reachable within g" is an O(1)
-///    span. The samplers need only the matrix (NGramMechanism builds
-///    matrix-only tables); the CSR serves set-valued consumers —
-///    aggregate analyses, the property-test oracle — that opt in via
-///    Options::build_successors.
 ///
-/// Memory (see docs/POI_SAMPLING.md): 2·P² bytes for the matrix plus
-/// 4·P² + 4·P·(|T|+1) bytes for the CSR. Builds exceeding `max_bytes`
-/// keep the matrix and drop the CSR; a matrix alone over budget fails
-/// with kResourceExhausted.
+/// Memory (see docs/POI_SAMPLING.md): 2·P² bytes for the matrix. A
+/// matrix over `max_bytes` fails the build with kResourceExhausted.
 class ReachabilityTable {
  public:
   /// Sentinel min-gap: unreachable within any same-day time budget.
   static constexpr uint16_t kNever = 0xFFFF;
 
   struct Options {
-    /// Upper bound on table memory. The matrix is mandatory; the CSR is
-    /// kept only when both fit. Default 1 GiB (P ≈ 23k POIs matrix-only).
+    /// Upper bound on the matrix's memory. Default 1 GiB (P ≈ 23k POIs).
     size_t max_bytes = size_t{1} << 30;
-    /// Skip the successor CSR even when it would fit (matrix-only
-    /// builds are all the samplers need).
-    bool build_successors = true;
   };
 
-  /// Builds the table for every POI pair in `db`. O(P²) haversines +
-  /// O(P² log P) sort; pure public pre-processing.
+  /// Builds the table for every POI pair in `db`. O(P²) haversines;
+  /// pure public pre-processing.
   static StatusOr<ReachabilityTable> Build(const model::PoiDatabase& db,
                                            const model::TimeDomain& time,
                                            model::ReachabilityConfig config,
@@ -106,20 +90,9 @@ class ReachabilityTable {
     return IsReachable(from, to, t_to - t_from);
   }
 
-  /// True when the successor CSR was built (fits the memory budget).
-  bool has_successors() const { return !successor_offsets_.empty(); }
-
-  /// The exact set of POIs reachable from `from` within `gap_timesteps`
-  /// (includes `from`; empty span for non-positive budgets). Sorted by
-  /// (min-gap, id). Requires has_successors(); unavailable when
-  /// unconstrained (the answer is "all POIs" — no point materialising
-  /// P² ids for it).
-  std::span<const model::PoiId> SuccessorsWithin(
-      model::PoiId from, model::Timestep gap_timesteps) const;
-
-  /// Bytes held by the matrix + CSR (the docs' memory-cost formula,
+  /// Bytes held by the matrix (the docs' memory-cost formula,
   /// evaluated).
-  size_t MemoryBytes() const;
+  size_t MemoryBytes() const { return min_gap_.size() * sizeof(uint16_t); }
 
  private:
   ReachabilityTable() = default;
@@ -130,11 +103,6 @@ class ReachabilityTable {
   model::ReachabilityConfig config_;
   /// min_gap_[from * P + to]; uint16 (|T| ≤ 1440 < kNever).
   std::vector<uint16_t> min_gap_;
-  /// successors_[from * P ..]: all POIs sorted by (min_gap, id).
-  std::vector<model::PoiId> successors_;
-  /// successor_offsets_[from * (|T|+1) + g]: #successors with
-  /// min-gap ≤ g; bucket g = 0 is always 0.
-  std::vector<uint32_t> successor_offsets_;
 };
 
 }  // namespace trajldp::core

@@ -45,8 +45,7 @@ StreamingCollector::StreamingCollector(const NGramMechanism* mechanism,
 StreamingCollector::StreamingCollector(const NGramMechanism* mechanism,
                                        uint64_t seed, Sink sink,
                                        Config config)
-    : pipeline_(mechanism->pipeline(config.poi_policy.value_or(
-          mechanism->config().poi.policy))),
+    : pipeline_(mechanism->pipeline()),
       seed_(seed),
       sink_(std::move(sink)),
       dedup_user_ids_(config.dedup_user_ids),
@@ -110,7 +109,7 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
   obs::Gauge* dedup_g = registry_->GetGauge(
       "trajldp_collector_dedup_users_claimed",
       "User ids currently claimed in the dedup set.", labels);
-  obs::Gauge* cache_g[8] = {
+  obs::Gauge* cache_g[6] = {
       registry_->GetGauge("trajldp_domain_cache_weight_rows",
                           "EM weight rows resident in the domain cache.",
                           labels),
@@ -124,10 +123,6 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
                           "Suffix-row cache hits.", labels),
       registry_->GetGauge("trajldp_domain_cache_suffix_misses",
                           "Suffix-row cache misses.", labels),
-      registry_->GetGauge("trajldp_domain_cache_weight_evictions",
-                          "Weight-row cache evictions.", labels),
-      registry_->GetGauge("trajldp_domain_cache_suffix_evictions",
-                          "Suffix-row cache evictions.", labels),
   };
   hook_id_ = registry_->AddHook([this, queue_depth_g, queue_high_g, dedup_g,
                                  cache_g] {
@@ -141,8 +136,6 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
     cache_g[3]->Set(static_cast<double>(stats.weight_misses));
     cache_g[4]->Set(static_cast<double>(stats.suffix_hits));
     cache_g[5]->Set(static_cast<double>(stats.suffix_misses));
-    cache_g[6]->Set(static_cast<double>(stats.weight_evictions));
-    cache_g[7]->Set(static_cast<double>(stats.suffix_evictions));
   });
 }
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -70,11 +69,6 @@ class StreamingCollector {
     /// the ingest pipeline's memory bound: producers block (backpressure)
     /// when the queue is full.
     size_t queue_capacity = 8;
-    /// §5.6 POI sampling policy; unset → the mechanism's configured
-    /// policy. Collector-side configuration, never on the wire — K
-    /// shards running the same policy under the same seed merge
-    /// bit-identically to one collector under that policy.
-    std::optional<PoiPolicy> poi_policy;
     /// Drop (not fail) any report whose user id was already processed by
     /// this collector, counting it in duplicates_dropped(). The
     /// exactly-once backstop for journal replay and client re-uploads:

@@ -8,6 +8,17 @@
 
 namespace trajldp::ldp {
 
+Status ValidateBudget(double epsilon, double quality_sensitivity) {
+  if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
+  if (!(quality_sensitivity >= 0.0) || !std::isfinite(quality_sensitivity)) {
+    return Status::InvalidArgument(
+        "quality_sensitivity must be finite and >= 0 (0 = strict)");
+  }
+  return Status::Ok();
+}
+
 StatusOr<ExponentialMechanism> ExponentialMechanism::Create(
     double epsilon, double sensitivity) {
   if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {

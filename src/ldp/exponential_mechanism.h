@@ -10,6 +10,13 @@
 
 namespace trajldp::ldp {
 
+/// Validates a mechanism's total budget ε (positive and finite) and its
+/// EM quality-sensitivity override (finite and ≥ 0, where 0 selects the
+/// strict public diameter). Every mechanism's Build (or Create) calls
+/// this, so a negative or NaN override cannot silently mean "strict",
+/// and +∞ cannot flatten every draw to uniform.
+Status ValidateBudget(double epsilon, double quality_sensitivity);
+
 /// \brief The exponential mechanism of McSherry–Talwar (Definition 4.3).
 ///
 /// Selects an output index y with probability proportional to

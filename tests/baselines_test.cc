@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/independent.h"
 #include "baselines/ngram_no_hierarchy.h"
 #include "baselines/phys_dist.h"
@@ -252,6 +257,44 @@ TEST_F(BaselinesFixture, ConfigValidation) {
   PoiLevelNgramMechanism::Config bad2;
   bad2.n = 0;
   EXPECT_FALSE(PoiLevelNgramMechanism::Build(db_.get(), time_, bad2).ok());
+
+  // Every Build refuses a non-finite ε and a negative, NaN or infinite
+  // quality_sensitivity up front, as NGramMechanism::Build does, rather
+  // than reading them as "strict" or failing at the first Perturb.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> bad_budgets = {
+      {1.0, -1.0},
+      {1.0, std::numeric_limits<double>::quiet_NaN()},
+      {1.0, kInf},
+      {kInf, 0.0}};
+  for (const auto& [epsilon, sensitivity] : bad_budgets) {
+    const std::string what = "epsilon " + std::to_string(epsilon) +
+                             ", quality_sensitivity " +
+                             std::to_string(sensitivity);
+    IndependentMechanism::Config independent;
+    independent.epsilon = epsilon;
+    independent.quality_sensitivity = sensitivity;
+    auto a = IndependentMechanism::Build(db_.get(), time_, independent);
+    ASSERT_FALSE(a.ok()) << what;
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument) << what;
+
+    PoiLevelNgramMechanism::Config poi_level;
+    poi_level.epsilon = epsilon;
+    poi_level.quality_sensitivity = sensitivity;
+    auto b = PoiLevelNgramMechanism::Build(db_.get(), time_, poi_level);
+    ASSERT_FALSE(b.ok()) << what;
+    EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument) << what;
+
+    PhysDistConfig phys;
+    phys.epsilon = epsilon;
+    phys.quality_sensitivity = sensitivity;
+    EXPECT_FALSE(BuildPhysDist(db_.get(), time_, phys).ok()) << what;
+
+    NGramNoHConfig no_h;
+    no_h.epsilon = epsilon;
+    no_h.quality_sensitivity = sensitivity;
+    EXPECT_FALSE(BuildNGramNoH(db_.get(), time_, no_h).ok()) << what;
+  }
 }
 
 }  // namespace

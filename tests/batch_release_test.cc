@@ -172,8 +172,12 @@ TEST_F(BatchReleaseFixture, BatchMatchesSequentialForEveryThreadCount) {
       expected.push_back(std::move(*z));
     }
 
+    // Each engine draws on a fresh domain, so its workers race to insert
+    // every row the cache does not yet hold (this suite runs under TSan).
     for (const size_t threads : {1u, 2u, 8u}) {
-      BatchReleaseEngine engine(&perturber,
+      NgramDomain fresh(graph_.get(), distance_.get());
+      NgramPerturber fresh_perturber(&fresh, NgramPerturber::Config{n, 5.0});
+      BatchReleaseEngine engine(&fresh_perturber,
                                 BatchReleaseEngine::Config{threads});
       EXPECT_EQ(engine.num_threads(), threads);
       auto batched = engine.ReleaseAll(users, seed);
@@ -340,7 +344,12 @@ TEST_F(E2eBatchFixture, GuidedPolicyMatchesGuidedSequentialEveryThreadCount) {
   const uint64_t seed = 20260729;
   const auto users = MakeUsers(24, 11);
 
-  const CollectorPipeline guided = mech_->pipeline(PoiPolicy::kGuided);
+  NGramConfig guided_config = mech_->config();
+  guided_config.poi.policy = PoiPolicy::kGuided;
+  auto guided_mech = NGramMechanism::Build(db_.get(), time_, guided_config);
+  ASSERT_TRUE(guided_mech.ok()) << guided_mech.status();
+
+  const CollectorPipeline guided = guided_mech->pipeline();
   std::vector<FullRelease> expected(users.size());
   PipelineWorkspace ws;
   const Rng root(seed);
@@ -350,10 +359,8 @@ TEST_F(E2eBatchFixture, GuidedPolicyMatchesGuidedSequentialEveryThreadCount) {
   }
 
   for (const size_t threads : {1u, 2u, 8u}) {
-    BatchReleaseEngine::Config config;
-    config.num_threads = threads;
-    config.poi_policy = PoiPolicy::kGuided;
-    BatchReleaseEngine engine(mech_.get(), config);
+    BatchReleaseEngine engine(&*guided_mech,
+                              BatchReleaseEngine::Config{threads});
     auto batched = engine.ReleaseAllFull(users, seed);
     ASSERT_TRUE(batched.ok()) << "threads " << threads << ": "
                               << batched.status();

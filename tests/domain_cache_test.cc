@@ -1,14 +1,12 @@
-// Cache coverage for NgramDomain: the weight-row cache must change
-// memory and speed only — draws equal an uncached domain's at every
-// capacity — and capacity shrinks / ClearCache() must stay safe while
-// worker threads are mid-draw (rows are shared_ptr-pinned for the
-// duration of a draw).
+// Cache coverage for NgramDomain: the insert-only weight-row cache must
+// change memory and speed only — draws equal an uncached domain's — and
+// worker threads racing to insert the rows a fresh domain does not yet
+// hold must draw exactly what a quiet replay draws.
 //
 // DomainCacheTest.* and CacheStressTest.* run in the TSan CI job.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -50,8 +48,7 @@ class DomainCacheTest : public ::testing::Test {
   }
 
   // A mixed workload: several n-gram lengths over distinct regions, each
-  // drawn at several ε′ so both row caches see hits, misses, and (when
-  // capped) evictions.
+  // drawn at several ε′ so both row caches see hits and misses.
   std::vector<std::vector<region::RegionId>> MakeInputs() const {
     const region::RegionId r0 = *decomp_->Lookup(0, 54);
     const region::RegionId r1 = *decomp_->Lookup(1, 60);
@@ -91,22 +88,19 @@ class DomainCacheTest : public ::testing::Test {
 };
 
 // The cache is a pure memoisation: the draw sequence equals the
-// uncached domain's — including with a capacity cap forcing evictions
-// mid-run.
-TEST_F(DomainCacheTest, DrawsIdenticalToUncachedAtEveryCapacity) {
+// uncached domain's, both in the first round, which computes every row,
+// and in the later rounds, which only hit.
+TEST_F(DomainCacheTest, DrawsIdenticalToUncached) {
   NgramDomain uncached(graph_.get(), distance_.get());
   uncached.set_cache_enabled(false);
   SamplerWorkspace uncached_ws;
   const auto expected = DrawSequence(uncached, 1234, /*rounds=*/3,
                                      uncached_ws);
 
-  for (const size_t capacity : {size_t{0}, size_t{4}}) {
-    NgramDomain domain(graph_.get(), distance_.get());
-    domain.set_cache_capacity(capacity);
-    SamplerWorkspace ws;
-    const auto draws = DrawSequence(domain, 1234, /*rounds=*/3, ws);
-    EXPECT_EQ(draws, expected) << "capacity " << capacity;
-  }
+  NgramDomain domain(graph_.get(), distance_.get());
+  SamplerWorkspace ws;
+  const auto draws = DrawSequence(domain, 1234, /*rounds=*/3, ws);
+  EXPECT_EQ(draws, expected);
 }
 
 // ε′ = +∞ would make every weight row exp(−∞·0) = NaN at the true
@@ -126,147 +120,67 @@ TEST_F(DomainCacheTest, InfiniteEpsilonFailsAndCachesNothing) {
   EXPECT_EQ(stats.weight_misses, 0u);
 }
 
-// ---------- Concurrent shrink / clear stress ----------
+// ---------- Concurrent first-touch stress ----------
 
-// Capacity shrinks and ClearCache() racing live draws. Workers hold
-// shared_ptr pins on borrowed rows, so churn frees memory without ever
-// invalidating a row mid-read — and because every worker owns its Rng
-// stream, the draw sequences must equal a quiet single-threaded replay
-// no matter how the churn interleaves.
+// Worker threads drawing on a fresh domain race to insert every row:
+// each round's ε′ is new, so every round starts with rows no thread has
+// computed yet. A racing identical row loses the insert and is dropped,
+// and the winner's row is never moved or freed, so — every worker owning
+// its Rng stream — each worker's draw sequence must equal a quiet
+// single-threaded replay no matter how the inserts interleave.
 class CacheStressTest : public DomainCacheTest {};
 
-TEST_F(CacheStressTest, CapacityChurnAndClearNeverChangeDraws) {
+TEST_F(CacheStressTest, ConcurrentFirstTouchMatchesQuietReplay) {
   constexpr size_t kWorkers = 4;
   constexpr int kRounds = 30;
   const Rng root(20260808);
+  const auto inputs = MakeInputs();
 
-  // Quiet reference: each worker's stream replayed on an undisturbed
-  // domain.
+  // One worker's draw sequence on `domain`.
+  auto draw_all = [&](const NgramDomain& domain, size_t w,
+                      std::vector<std::vector<region::RegionId>>& draws) {
+    SamplerWorkspace ws;
+    Rng rng = root.Substream(w);
+    std::vector<region::RegionId> out;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto& input : inputs) {
+        const Status status = domain.SampleInto(
+            std::span<const region::RegionId>(input), 0.5 + 0.01 * round,
+            rng, ws, out);
+        ASSERT_TRUE(status.ok()) << status;
+        draws.push_back(out);
+      }
+    }
+  };
+
+  // Quiet reference: each worker's stream replayed alone on an
+  // undisturbed domain.
   std::vector<std::vector<std::vector<region::RegionId>>> expected(
       kWorkers);
+  CacheStats quiet;
   {
     NgramDomain reference(graph_.get(), distance_.get());
     for (size_t w = 0; w < kWorkers; ++w) {
-      SamplerWorkspace ws;
-      Rng rng = root.Substream(w);
-      const auto inputs = MakeInputs();
-      std::vector<region::RegionId> out;
-      for (int round = 0; round < kRounds; ++round) {
-        for (const auto& input : inputs) {
-          ASSERT_TRUE(reference
-                          .SampleInto(
-                              std::span<const region::RegionId>(input),
-                              0.5 + 0.01 * round, rng, ws, out)
-                          .ok());
-          expected[w].push_back(out);
-        }
-      }
+      draw_all(reference, w, expected[w]);
     }
+    quiet = reference.cache_stats();
   }
 
   NgramDomain domain(graph_.get(), distance_.get());
   std::vector<std::vector<std::vector<region::RegionId>>> got(kWorkers);
-  std::atomic<bool> done{false};
-
   std::vector<std::thread> workers;
   for (size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      SamplerWorkspace ws;
-      Rng rng = root.Substream(w);
-      const auto inputs = MakeInputs();
-      std::vector<region::RegionId> out;
-      for (int round = 0; round < kRounds; ++round) {
-        for (const auto& input : inputs) {
-          const Status status = domain.SampleInto(
-              std::span<const region::RegionId>(input),
-              0.5 + 0.01 * round, rng, ws, out);
-          ASSERT_TRUE(status.ok()) << status;
-          got[w].push_back(out);
-        }
-      }
-    });
+    workers.emplace_back([&, w] { draw_all(domain, w, got[w]); });
   }
-
-  // Churn thread: shrink, grow, and clear while the draws run.
-  std::thread churn([&] {
-    size_t step = 0;
-    while (!done.load(std::memory_order_relaxed)) {
-      switch (step++ % 4) {
-        case 0:
-          domain.set_cache_capacity(1);
-          break;
-        case 1:
-          domain.ClearCache();
-          break;
-        case 2:
-          domain.set_cache_capacity(8);
-          break;
-        default:
-          domain.set_cache_capacity(0);
-          break;
-      }
-      std::this_thread::yield();
-    }
-  });
-
   for (auto& worker : workers) worker.join();
-  done.store(true, std::memory_order_relaxed);
-  churn.join();
 
   for (size_t w = 0; w < kWorkers; ++w) {
     EXPECT_EQ(got[w], expected[w]) << "worker " << w;
   }
-}
-
-// The NgramDomain::ClearCache() doc promises clears are safe against
-// concurrent SampleInto. Hammer exactly that pair — one thread clearing
-// in a tight loop, one thread drawing.
-TEST_F(CacheStressTest, ClearWhileSamplingIsSafeAndBitIdentical) {
-  const auto inputs = MakeInputs();
-  constexpr int kDraws = 400;
-
-  // Quiet reference.
-  std::vector<std::vector<region::RegionId>> expected;
-  {
-    NgramDomain reference(graph_.get(), distance_.get());
-    SamplerWorkspace ws;
-    Rng rng(31337);
-    std::vector<region::RegionId> out;
-    for (int i = 0; i < kDraws; ++i) {
-      const auto& input = inputs[i % inputs.size()];
-      ASSERT_TRUE(reference
-                      .SampleInto(std::span<const region::RegionId>(input),
-                                  1.0, rng, ws, out)
-                      .ok());
-      expected.push_back(out);
-    }
-  }
-
-  NgramDomain domain(graph_.get(), distance_.get());
-  std::atomic<bool> done{false};
-  std::thread clearer([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      domain.ClearCache();
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::vector<region::RegionId>> got;
-  SamplerWorkspace ws;
-  Rng rng(31337);
-  std::vector<region::RegionId> out;
-  for (int i = 0; i < kDraws; ++i) {
-    const auto& input = inputs[i % inputs.size()];
-    ASSERT_TRUE(domain
-                    .SampleInto(std::span<const region::RegionId>(input),
-                                1.0, rng, ws, out)
-                    .ok());
-    got.push_back(out);
-  }
-  done.store(true, std::memory_order_relaxed);
-  clearer.join();
-
-  EXPECT_EQ(got, expected);
+  // A losing racer's row is dropped, not added: the shared domain holds
+  // exactly the rows the quiet replay computed.
+  EXPECT_EQ(domain.cache_stats().weight_rows, quiet.weight_rows);
+  EXPECT_EQ(domain.cache_stats().suffix_rows, quiet.suffix_rows);
 }
 
 }  // namespace

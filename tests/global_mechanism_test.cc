@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/global_mechanism.h"
 #include "test_world.h"
@@ -160,6 +163,24 @@ TEST_F(GlobalMechanismFixture, CreateValidatesConfig) {
   config = DefaultConfig();
   config.max_candidates = 0;
   EXPECT_FALSE(GlobalMechanism::Create(db_.get(), time_, config).ok());
+
+  // Non-finite ε and a negative, NaN or infinite quality_sensitivity are
+  // refused up front instead of meaning "strict" or failing mid-Perturb.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> bad_budgets = {
+      {1.0, -1.0},
+      {1.0, std::numeric_limits<double>::quiet_NaN()},
+      {1.0, kInf},
+      {kInf, 0.0}};
+  for (const auto& [epsilon, sensitivity] : bad_budgets) {
+    config = DefaultConfig();
+    config.epsilon = epsilon;
+    config.quality_sensitivity = sensitivity;
+    const auto mechanism = GlobalMechanism::Create(db_.get(), time_, config);
+    ASSERT_FALSE(mechanism.ok())
+        << "epsilon " << epsilon << ", quality_sensitivity " << sensitivity;
+    EXPECT_EQ(mechanism.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

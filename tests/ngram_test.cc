@@ -270,85 +270,6 @@ TEST_F(NgramFixture, CacheRespectsDistinctEpsilonKeys) {
   EXPECT_EQ(third.weight_rows, 4u);
   EXPECT_EQ(third.suffix_rows, 2u);
   EXPECT_EQ(third.weight_misses, 4u);
-
-  domain.ClearCache();
-  const auto cleared = domain.cache_stats();
-  EXPECT_EQ(cleared.weight_rows, 0u);
-  EXPECT_EQ(cleared.suffix_rows, 0u);
-}
-
-// The ROADMAP "cache eviction policy" item: when every user brings their
-// own ε (so every distinct ε′ mints new cache keys), a capped domain
-// must stay bounded — and capping, like disabling, must never change a
-// draw.
-TEST_F(NgramFixture, LruCapKeepsPerUserEpsilonWorkloadBounded) {
-  constexpr size_t kCapacity = 6;
-  NgramDomain capped(graph_.get(), distance_.get());
-  capped.set_cache_capacity(kCapacity);
-  EXPECT_EQ(capped.cache_capacity(), kCapacity);
-  NgramDomain unbounded(graph_.get(), distance_.get());
-
-  const region::RegionId r0 = *decomp_->Lookup(0, 54);
-  const region::RegionId r1 = *decomp_->Lookup(1, 60);
-
-  // 40 users, each with their own ε → 40 distinct (region, scale) keys
-  // per slot region. The capped domain must not grow past the cap while
-  // drawing exactly what the unbounded domain draws.
-  Rng rng_capped(2026), rng_unbounded(2026);
-  for (int user = 0; user < 40; ++user) {
-    const double epsilon = 0.2 + 0.1 * user;  // per-user budget
-    auto a = capped.Sample({r0, r1}, epsilon, rng_capped);
-    auto b = unbounded.Sample({r0, r1}, epsilon, rng_unbounded);
-    ASSERT_TRUE(a.ok()) << "user " << user;
-    ASSERT_TRUE(b.ok()) << "user " << user;
-    EXPECT_EQ(*a, *b) << "user " << user;
-
-    const auto stats = capped.cache_stats();
-    EXPECT_LE(stats.weight_rows, kCapacity) << "user " << user;
-    EXPECT_LE(stats.suffix_rows, kCapacity) << "user " << user;
-  }
-
-  const auto capped_stats = capped.cache_stats();
-  const auto unbounded_stats = unbounded.cache_stats();
-  EXPECT_GT(capped_stats.weight_evictions, 0u);
-  EXPECT_EQ(unbounded_stats.weight_evictions, 0u);
-  EXPECT_EQ(unbounded_stats.weight_rows, 80u);  // 2 regions × 40 scales
-}
-
-TEST_F(NgramFixture, LruEvictsLeastRecentlyUsedKey) {
-  NgramDomain domain(graph_.get(), distance_.get());
-  domain.set_cache_capacity(2);
-  const region::RegionId r0 = *decomp_->Lookup(0, 54);
-
-  Rng rng(5);
-  // Two unigram draws at distinct ε fill the cache; touching the first
-  // key again makes the second the LRU victim when a third arrives.
-  ASSERT_TRUE(domain.Sample({r0}, 1.0, rng).ok());
-  ASSERT_TRUE(domain.Sample({r0}, 2.0, rng).ok());
-  ASSERT_TRUE(domain.Sample({r0}, 1.0, rng).ok());  // refresh key ε=1
-  ASSERT_TRUE(domain.Sample({r0}, 3.0, rng).ok());  // evicts key ε=2
-  const auto after = domain.cache_stats();
-  EXPECT_EQ(after.weight_rows, 2u);
-  EXPECT_EQ(after.weight_evictions, 1u);
-
-  // ε=1 must still be cached (a hit, no new miss); ε=2 must re-miss.
-  ASSERT_TRUE(domain.Sample({r0}, 1.0, rng).ok());
-  EXPECT_EQ(domain.cache_stats().weight_misses, after.weight_misses);
-  ASSERT_TRUE(domain.Sample({r0}, 2.0, rng).ok());
-  EXPECT_EQ(domain.cache_stats().weight_misses, after.weight_misses + 1);
-}
-
-TEST_F(NgramFixture, ShrinkingCapacityEvictsImmediately) {
-  NgramDomain domain(graph_.get(), distance_.get());
-  const region::RegionId r0 = *decomp_->Lookup(0, 54);
-  Rng rng(6);
-  for (const double epsilon : {1.0, 2.0, 3.0, 4.0}) {
-    ASSERT_TRUE(domain.Sample({r0}, epsilon, rng).ok());
-  }
-  ASSERT_EQ(domain.cache_stats().weight_rows, 4u);
-  domain.set_cache_capacity(1);
-  EXPECT_EQ(domain.cache_stats().weight_rows, 1u);
-  EXPECT_EQ(domain.cache_stats().weight_evictions, 3u);
 }
 
 TEST_F(NgramFixture, SensitivityScalesWithN) {

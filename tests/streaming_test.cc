@@ -38,7 +38,13 @@ class StreamingFixture : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<model::PoiDatabase>(std::move(*db));
     time_ = *model::TimeDomain::Create(10);
+    mech_ = BuildMechanism(PoiPolicy::kRejection);
+    ASSERT_NE(mech_, nullptr);
+  }
 
+  // The fixture's world under `policy` — the one place a POI policy is
+  // chosen (NGramConfig::poi.policy).
+  std::unique_ptr<NGramMechanism> BuildMechanism(PoiPolicy policy) const {
     NGramConfig config;
     config.n = 2;
     config.epsilon = 5.0;
@@ -48,9 +54,11 @@ class StreamingFixture : public ::testing::Test {
     config.decomposition.merge.kappa = 1;
     config.reachability.speed_kmh = 30.0;
     config.reachability.reference_gap_minutes = 60;
+    config.poi.policy = policy;
     auto mech = NGramMechanism::Build(db_.get(), time_, config);
-    ASSERT_TRUE(mech.ok()) << mech.status();
-    mech_ = std::make_unique<NGramMechanism>(std::move(*mech));
+    EXPECT_TRUE(mech.ok()) << mech.status();
+    if (!mech.ok()) return nullptr;
+    return std::make_unique<NGramMechanism>(std::move(*mech));
   }
 
   std::vector<region::RegionTrajectory> MakeUsers(size_t count,
@@ -92,12 +100,13 @@ class StreamingFixture : public ::testing::Test {
 
   // Streams `reports` through `num_shards` independent collectors in
   // batches of `batch_size`, optionally over the wire encoding, and
-  // merges the shard outputs.
+  // merges the shard outputs. Collectors run `mechanism` (default: the
+  // fixture's rejection-policy mechanism).
   StatusOr<std::vector<FullRelease>> StreamAndMerge(
       const io::ReportBatch& reports, uint64_t seed, size_t num_shards,
       size_t batch_size, size_t num_threads, size_t queue_capacity,
-      bool encoded,
-      std::optional<PoiPolicy> poi_policy = std::nullopt) {
+      bool encoded, const NGramMechanism* mechanism = nullptr) {
+    if (mechanism == nullptr) mechanism = mech_.get();
     const ShardPlan plan{num_shards};
     auto sharded = PartitionByShard(plan, io::ReportBatch(reports));
     std::vector<std::vector<UserRelease>> outputs(sharded.size());
@@ -105,9 +114,8 @@ class StreamingFixture : public ::testing::Test {
       StreamingCollector::Config config;
       config.num_threads = num_threads;
       config.queue_capacity = queue_capacity;
-      config.poi_policy = poi_policy;
       StreamingCollector collector(
-          mech_.get(), seed,
+          mechanism, seed,
           [&outputs, s](UserRelease release) {
             outputs[s].push_back(std::move(release));
           },
@@ -197,11 +205,10 @@ TEST_F(StreamingFixture, GuidedPolicyShardsAreBitIdentical) {
   const auto users = MakeUsers(20, 7);
   const auto reports = MakeReports(users, seed);
 
-  // Guided reference: the batch engine with the guided policy.
-  BatchReleaseEngine::Config engine_config;
-  engine_config.num_threads = 2;
-  engine_config.poi_policy = PoiPolicy::kGuided;
-  BatchReleaseEngine engine(mech_.get(), engine_config);
+  // Guided reference: the batch engine over a guided mechanism.
+  const auto guided = BuildMechanism(PoiPolicy::kGuided);
+  ASSERT_NE(guided, nullptr);
+  BatchReleaseEngine engine(guided.get(), BatchReleaseEngine::Config{2});
   auto reference = engine.ReleaseAllFull(users, seed);
   ASSERT_TRUE(reference.ok()) << reference.status();
 
@@ -221,7 +228,7 @@ TEST_F(StreamingFixture, GuidedPolicyShardsAreBitIdentical) {
     for (const bool encoded : {false, true}) {
       auto merged = StreamAndMerge(reports, seed, shards, /*batch_size=*/3,
                                    /*num_threads=*/2, /*queue_capacity=*/2,
-                                   encoded, PoiPolicy::kGuided);
+                                   encoded, guided.get());
       ASSERT_TRUE(merged.ok()) << "shards " << shards << " encoded "
                                << encoded << ": " << merged.status();
       ExpectIdenticalReleases(*merged, *reference);
