@@ -2,7 +2,8 @@
 // on a ~200-region / n = 2 / 10k-user workload at fixed ε, the cached +
 // workspace + batched path must beat the seed per-call path by ≥5× on a
 // single thread, and the batched output must be bit-identical to the
-// sequential per-user loop under the same seed.
+// sequential per-user loop under the same seed. The speedup is the
+// median over kGateRounds paired rounds (bench_util.h RunPairedGate).
 //
 //   ./build/bench_batch_release [--json PATH] [--users N]
 //
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "region/decomposition.h"
 #include "region/region_distance.h"
 #include "region/region_graph.h"
+#include "bench_util.h"
 #include "seed_replica.h"
 #include "test_support.h"
 
@@ -34,26 +37,11 @@ namespace trajldp {
 namespace {
 
 using bench::SeedPerturb;
-using core::PerturbedNgram;
 using core::PerturbedNgramSet;
 using region::RegionId;
 
-// ---------------------------------------------------------------- harness
-
-bool Identical(const std::vector<PerturbedNgramSet>& a,
-               const std::vector<PerturbedNgramSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      if (a[i][j].a != b[i][j].a || a[i][j].b != b[i][j].b ||
-          a[i][j].regions != b[i][j].regions) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
+// Paired rounds behind the speedup gate (docs/PERF.md §Timing gates).
+constexpr int kGateRounds = 5;
 
 int Run(size_t num_users, const std::string& json_path) {
   constexpr int kN = 2;
@@ -83,9 +71,16 @@ int Run(size_t num_users, const std::string& json_path) {
   const region::RegionDistance distance(&*decomp);
   const model::ReachabilityConfig reach{8.0, 30};
   const region::RegionGraph graph = region::RegionGraph::Build(*decomp, reach);
-  const core::NgramDomain domain(&graph, &distance);
-  const core::NgramPerturber perturber(
-      &domain, core::NgramPerturber::Config{kN, kEpsilon});
+  const core::NgramPerturber::Config perturb_config{kN, kEpsilon};
+  // Every run that perturbs starts on a row cache nothing has touched:
+  // one domain per run (the sequential reference, the gate's warm-up and
+  // timed engine rounds, the all-threads run), all built here before
+  // any stopwatch starts.
+  std::vector<std::unique_ptr<core::NgramDomain>> domains;
+  for (int i = 0; i < kGateRounds + 3; ++i) {
+    domains.push_back(std::make_unique<core::NgramDomain>(&graph, &distance));
+  }
+  size_t next_domain = 0;
 
   const size_t num_regions = decomp->num_regions();
   std::cout << "world: " << num_regions << " regions, " << graph.num_edges()
@@ -108,26 +103,13 @@ int Run(size_t num_users, const std::string& json_path) {
   const size_t total_ngrams = num_users * ngrams_per_user;
   const Rng root(kSeed);
 
-  // --- Seed per-call path (sequential). -----------------------------
-  double seed_seconds = 0.0;
-  {
-    Stopwatch watch;
-    for (size_t i = 0; i < users.size(); ++i) {
-      Rng user_rng = root.Substream(i);
-      auto z = SeedPerturb(graph, distance, users[i], kN, kEpsilon, user_rng);
-      if (!z.ok()) {
-        std::cerr << "seed path: " << z.status() << "\n";
-        return 1;
-      }
-    }
-    seed_seconds = watch.ElapsedSeconds();
-  }
-
   // --- Sequential loop over the new cached path (reference output). --
   std::vector<PerturbedNgramSet> sequential;
   sequential.reserve(users.size());
   double sequential_seconds = 0.0;
   {
+    const core::NgramPerturber perturber(domains[next_domain++].get(),
+                                         perturb_config);
     core::SamplerWorkspace ws;
     Stopwatch watch;
     for (size_t i = 0; i < users.size(); ++i) {
@@ -142,36 +124,49 @@ int Run(size_t num_users, const std::string& json_path) {
     sequential_seconds = watch.ElapsedSeconds();
   }
 
-  // --- Batched engine, 1 thread and all hardware threads. ------------
-  auto run_engine = [&](size_t threads, double& seconds)
-      -> StatusOr<std::vector<PerturbedNgramSet>> {
+  // --- Seed per-call path against the engine at 1 thread. ------------
+  auto seed_leg = [&]() -> StatusOr<double> {
+    Stopwatch watch;
+    for (size_t i = 0; i < users.size(); ++i) {
+      Rng user_rng = root.Substream(i);
+      auto z = SeedPerturb(graph, distance, users[i], kN, kEpsilon, user_rng);
+      if (!z.ok()) return z.status();
+    }
+    return watch.ElapsedSeconds();
+  };
+  // Every engine run takes the next untouched domain, and its output
+  // must equal the sequential reference.
+  bool identical = true;
+  auto run_engine = [&](size_t threads) -> StatusOr<double> {
+    const core::NgramPerturber perturber(domains.at(next_domain++).get(),
+                                         perturb_config);
     core::BatchReleaseEngine engine(
         &perturber, core::BatchReleaseEngine::Config{threads});
     Stopwatch watch;
     auto result = engine.ReleaseAll(users, kSeed);
-    seconds = watch.ElapsedSeconds();
-    return result;
+    const double seconds = watch.ElapsedSeconds();
+    if (!result.ok()) return result.status();
+    identical = identical && *result == sequential;
+    return seconds;
   };
 
-  double engine1_seconds = 0.0;
-  auto engine1 = run_engine(1, engine1_seconds);
-  if (!engine1.ok()) {
-    std::cerr << "engine(1): " << engine1.status() << "\n";
+  bench::TimingGate speedup{"speedup_single_thread", 5.0, true};
+  if (Status gate = bench::RunPairedGate(
+          kGateRounds, seed_leg, [&] { return run_engine(1); }, speedup);
+      !gate.ok()) {
+    std::cerr << "seed vs engine(1) rounds: " << gate << "\n";
     return 1;
   }
+  const double seed_seconds = speedup.numerator_seconds;
+  const double engine1_seconds = speedup.denominator_seconds;
   const size_t hw_threads = ThreadPool::DefaultThreadCount();
-  double engine_hw_seconds = 0.0;
-  auto engine_hw = run_engine(hw_threads, engine_hw_seconds);
-  if (!engine_hw.ok()) {
-    std::cerr << "engine(" << hw_threads << "): " << engine_hw.status()
-              << "\n";
+  auto engine_hw_seconds = run_engine(hw_threads);
+  if (!engine_hw_seconds.ok()) {
+    std::cerr << "engine(" << hw_threads << "): "
+              << engine_hw_seconds.status() << "\n";
     return 1;
   }
-
-  const bool identical =
-      Identical(*engine1, sequential) && Identical(*engine_hw, sequential);
-  const double speedup_1t = seed_seconds / engine1_seconds;
-  const double scaling = engine1_seconds / engine_hw_seconds;
+  const double scaling = engine1_seconds / *engine_hw_seconds;
   const auto per_ngram_us = [&](double seconds) {
     return seconds * 1e6 / static_cast<double>(total_ngrams);
   };
@@ -187,15 +182,15 @@ int Run(size_t num_users, const std::string& json_path) {
             << "engine, 1 thread:     " << engine1_seconds << " s  ("
             << per_ngram_us(engine1_seconds) << " us/ngram, "
             << ops_per_sec(engine1_seconds) << " users/s)\n"
-            << "engine, " << hw_threads << " thread(s):  " << engine_hw_seconds
-            << " s  (" << per_ngram_us(engine_hw_seconds) << " us/ngram, "
-            << ops_per_sec(engine_hw_seconds) << " users/s)\n"
-            << "single-thread speedup vs seed: " << speedup_1t << "x"
-            << (speedup_1t >= 5.0 ? "  (PASS >=5x)" : "  (FAIL <5x)") << "\n"
+            << "engine, " << hw_threads << " thread(s):  "
+            << *engine_hw_seconds << " s  ("
+            << per_ngram_us(*engine_hw_seconds) << " us/ngram, "
+            << ops_per_sec(*engine_hw_seconds) << " users/s)\n"
             << "thread scaling (1t/" << hw_threads << "t): " << scaling
             << "x\n"
             << "batched == sequential (bit-identical): "
             << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
+  speedup.Print();
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -223,20 +218,20 @@ int Run(size_t num_users, const std::string& json_path) {
         << ",\n"
         << "  \"engine_1t_us_per_ngram\": " << per_ngram_us(engine1_seconds)
         << ",\n"
-        << "  \"engine_hw_seconds\": " << engine_hw_seconds << ",\n"
-        << "  \"engine_hw_users_per_sec\": " << ops_per_sec(engine_hw_seconds)
-        << ",\n"
-        << "  \"engine_hw_us_per_ngram\": " << per_ngram_us(engine_hw_seconds)
-        << ",\n"
-        << "  \"speedup_single_thread\": " << speedup_1t << ",\n"
-        << "  \"thread_scaling\": " << scaling << ",\n"
+        << "  \"engine_hw_seconds\": " << *engine_hw_seconds << ",\n"
+        << "  \"engine_hw_users_per_sec\": "
+        << ops_per_sec(*engine_hw_seconds) << ",\n"
+        << "  \"engine_hw_us_per_ngram\": "
+        << per_ngram_us(*engine_hw_seconds) << ",\n";
+    speedup.WriteJson(out);
+    out << "  \"thread_scaling\": " << scaling << ",\n"
         << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
         << "}\n";
     std::cout << "wrote " << json_path << "\n";
   }
 
   if (!identical) return 2;
-  return speedup_1t >= 5.0 ? 0 : 3;
+  return speedup.pass() ? 0 : 3;
 }
 
 }  // namespace

@@ -3,12 +3,6 @@
 // n-gram path sampler, region distance fan-out, the spatial index, the
 // Viterbi reconstruction DP, and the simplex solver. Useful for tracking
 // regressions in the paths that dominate Figure 9's runtime curves.
-//
-// The hottest kernels also record hardware counters (IPC, LLC misses
-// and branch misses per item) through bench/hw_counters.h so a
-// wall-clock change can be attributed to memory behaviour rather than
-// guessed at. On hosts without perf_event access the counters report
-// hw_available = 0 and the bench still succeeds — see docs/PERF.md.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +13,6 @@
 #include "core/viterbi_reconstructor.h"
 #include "geo/latlon.h"
 #include "geo/spatial_index.h"
-#include "hw_counters.h"
 #include "ldp/exponential_mechanism.h"
 #include "lp/simplex.h"
 #include "region/decomposition.h"
@@ -29,29 +22,6 @@
 
 namespace trajldp {
 namespace {
-
-// Attaches the hardware-counter sample for the timed region to the
-// benchmark's custom counters. `items` is the per-item denominator
-// (n-grams sampled, DP solves, ...). Keys are stable: run_benches.sh
-// gates on hw_available/ipc being present in BENCH_micro.json.
-void AnnotateHw(benchmark::State& state, const bench::HwCounters& hw,
-                double items) {
-  state.counters["hw_available"] = hw.available() ? 1.0 : 0.0;
-  state.counters["ipc"] = 0.0;
-  state.counters["llc_miss_per_item"] = 0.0;
-  state.counters["branch_miss_per_item"] = 0.0;
-  if (!hw.available()) return;
-  const bench::HwSample s = hw.Delta();
-  state.counters["ipc"] = s.Ipc();
-  if (items > 0.0) {
-    if (hw.llc_supported()) {
-      state.counters["llc_miss_per_item"] =
-          static_cast<double>(s.llc_misses) / items;
-    }
-    state.counters["branch_miss_per_item"] =
-        static_cast<double>(s.branch_misses) / items;
-  }
-}
 
 void BM_Haversine(benchmark::State& state) {
   const geo::LatLon a{40.7128, -74.0060};
@@ -77,12 +47,9 @@ void BM_EmSample(benchmark::State& state) {
   Rng init(2);
   for (auto& q : qualities) q = -init.UniformDouble(0.0, 10.0);
   Rng rng(3);
-  bench::HwCounters hw;
-  hw.Start();
   for (auto _ : state) {
     benchmark::DoNotOptimize(em->Sample(qualities, rng));
   }
-  AnnotateHw(state, hw, static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * domain);
 }
 BENCHMARK(BM_EmSample)->Arg(1000)->Arg(10000)->Arg(100000);
@@ -135,22 +102,16 @@ void BM_BigramSample(benchmark::State& state) {
   const region::RegionId a = 0;
   const region::RegionId b =
       static_cast<region::RegionId>(world.decomp->num_regions() / 2);
-  bench::HwCounters hw;
-  hw.Start();
   for (auto _ : state) {
     benchmark::DoNotOptimize(world.domain->Sample({a, b}, 0.5, rng));
   }
-  // One item = one n-gram draw: llc_miss_per_item is the LLC-misses-
-  // per-n-gram figure the ROADMAP asks for.
-  AnnotateHw(state, hw, static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BigramSample)->Arg(500)->Arg(2000);
 
 // The §5.5 DP solve on realistic inputs: a trajectory's perturbed
 // n-gram set over the full region set as candidates — the layered
 // argmin relaxation plus CSR build that the SoA arena layout exists
-// for. Hardware counters attribute its cost between compute and
-// memory.
+// for.
 void BM_ViterbiReconstruct(benchmark::State& state) {
   RegionWorld& world = SharedWorld(static_cast<size_t>(state.range(0)));
   const size_t num_regions = world.decomp->num_regions();
@@ -181,8 +142,6 @@ void BM_ViterbiReconstruct(benchmark::State& state) {
   core::ViterbiReconstructor solver;
   auto ws = solver.NewWorkspace();
   region::RegionTrajectory out;
-  bench::HwCounters hw;
-  hw.Start();
   for (auto _ : state) {
     const Status status = solver.ReconstructInto(*problem, *ws, out);
     if (!status.ok()) {
@@ -191,7 +150,6 @@ void BM_ViterbiReconstruct(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(out.data());
   }
-  AnnotateHw(state, hw, static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ViterbiReconstruct)->Arg(500)->Arg(2000);

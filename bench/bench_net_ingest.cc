@@ -3,13 +3,16 @@
 // real loopback TCP connection (net::ReportClient → net::IngestServer),
 // and over loopback in exactly-once trim (sequenced client + journaling
 // server, batched and per-record fsync) — on the same ~200-region /
-// n = 2 world as bench_stream_ingest, and compare. Two gates: loopback
-// throughput within 2× of in-memory (the socket hop must not dominate a
-// pipeline whose cost is reconstruction), journaled ingest with batched
-// fsync within 2× of raw loopback (durability must not either), and
-// every leg bit-identical to BatchReleaseEngine::ReleaseAllFull. A
-// fourth leg holds 10k simultaneous connections against the epoll
-// reactor (gate: target held AND merged output bit-identical).
+// n = 2 world as bench_stream_ingest, and compare. Three timing gates:
+// loopback throughput within 2× of in-memory (the socket hop must not
+// dominate a pipeline whose cost is reconstruction), journaled ingest
+// with batched fsync within 2× of raw loopback (durability must not
+// either), and in-memory ingest with stage timing on within 1.05× of
+// off; each is a median over kGateRounds paired rounds (bench_util.h
+// RunPairedGate). Every run of every leg must be bit-identical to
+// BatchReleaseEngine::ReleaseAllFull. A fourth leg holds 10k
+// simultaneous connections against the epoll reactor (gate: target
+// held AND merged output bit-identical).
 //
 //   ./build/bench_net_ingest [--json PATH] [--users N] [--churn-conns C]
 //
@@ -35,6 +38,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,6 +52,7 @@
 #include "net/ingest_server.h"
 #include "net/report_client.h"
 #include "net/socket.h"
+#include "bench_util.h"
 #include "obs/admin_server.h"
 #include "test_support.h"
 
@@ -57,25 +62,9 @@ namespace {
 using core::FullRelease;
 using region::RegionId;
 
-bool Identical(const std::vector<FullRelease>& a,
-               const std::vector<FullRelease>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].regions != b[i].regions ||
-        !(a[i].trajectory == b[i].trajectory) ||
-        a[i].poi_attempts != b[i].poi_attempts ||
-        a[i].smoothed != b[i].smoothed) {
-      return false;
-    }
-  }
-  return true;
-}
-
-struct LegResult {
-  double seconds = 0.0;
-  double users_per_sec = 0.0;
-  bool identical = false;
-};
+// Paired rounds behind the three timing gates (docs/PERF.md §Timing
+// gates).
+constexpr int kGateRounds = 61;
 
 int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
   constexpr int kN = 2;
@@ -167,27 +156,27 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
   collector_config.num_threads = std::max<size_t>(1, hw_threads);
   collector_config.queue_capacity = 8;
 
+  // Stops the leg's stopwatch after the merge and returns its seconds.
+  // Every run of every leg must match the batch engine.
+  bool bit_identical = true;
   auto finish_and_check =
       [&](std::vector<std::vector<core::UserRelease>> outputs,
-          Stopwatch& watch, LegResult* result) -> Status {
+          Stopwatch& watch) -> StatusOr<double> {
     auto merged = core::MergeShardReleases(std::move(outputs), num_users);
-    result->seconds = watch.ElapsedSeconds();
+    const double seconds = watch.ElapsedSeconds();
     if (!merged.ok()) return merged.status();
-    result->users_per_sec =
-        static_cast<double>(num_users) / result->seconds;
-    result->identical = Identical(*merged, reference);
-    return Status::Ok();
+    bit_identical = bit_identical && *merged == reference;
+    return seconds;
   };
 
   // --- Leg 1: in-memory PushEncoded (the BENCH_stream shape). --------
   // `stage_timing` toggles the per-frame/per-report latency histogram
   // clock reads (counters stay on either way) — the two settings are
   // the telemetered/untelemetered pair behind metrics_overhead_ratio.
-  auto run_inmem = [&](bool stage_timing) -> StatusOr<LegResult> {
+  auto run_inmem = [&](bool stage_timing) -> StatusOr<double> {
     auto frames = encode_frames(reports);
     if (!frames.ok()) return frames.status();
     std::vector<std::vector<core::UserRelease>> outputs(1);
-    LegResult result;
     auto timed_config = collector_config;
     timed_config.enable_stage_timing = stage_timing;
     Stopwatch watch;
@@ -203,13 +192,11 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
       }
       TRAJLDP_RETURN_NOT_OK(collector.Finish());
     }
-    TRAJLDP_RETURN_NOT_OK(finish_and_check(std::move(outputs), watch,
-                                           &result));
-    return result;
+    return finish_and_check(std::move(outputs), watch);
   };
 
   // --- Leg 2: the same frames through loopback TCP, K shards. --------
-  auto run_loopback = [&](size_t num_shards) -> StatusOr<LegResult> {
+  auto run_loopback = [&](size_t num_shards) -> StatusOr<double> {
     core::ShardPlan plan;
     plan.num_shards = num_shards;
     plan.strategy = core::ShardPlan::Strategy::kRange;
@@ -225,7 +212,6 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
     std::vector<std::vector<core::UserRelease>> outputs(num_shards);
     std::vector<std::unique_ptr<core::StreamingCollector>> collectors;
     std::vector<std::unique_ptr<net::IngestServer>> servers;
-    LegResult result;
     Stopwatch watch;
     for (size_t s = 0; s < num_shards; ++s) {
       collectors.push_back(std::make_unique<core::StreamingCollector>(
@@ -262,9 +248,7 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
       TRAJLDP_RETURN_NOT_OK(servers[s]->first_connection_error());
       TRAJLDP_RETURN_NOT_OK(collectors[s]->Finish());
     }
-    TRAJLDP_RETURN_NOT_OK(finish_and_check(std::move(outputs), watch,
-                                           &result));
-    return result;
+    return finish_and_check(std::move(outputs), watch);
   };
 
   // --- Leg 3: exactly-once — journaled server, sequenced client. -----
@@ -275,13 +259,12 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
   // region (the sequence stamp is per-frame), which only biases the
   // ratio AGAINST this leg.
   auto run_journaled =
-      [&](io::FrameJournal::SyncPolicy sync) -> StatusOr<LegResult> {
+      [&](io::FrameJournal::SyncPolicy sync) -> StatusOr<double> {
     const std::string journal_path =
         (std::filesystem::temp_directory_path() / "bench_net_ingest.journal")
             .string();
     std::filesystem::remove(journal_path);
     std::vector<std::vector<core::UserRelease>> outputs(1);
-    LegResult result;
     Stopwatch watch;
     {
       auto journaled_config = collector_config;
@@ -320,10 +303,9 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
       TRAJLDP_RETURN_NOT_OK((*server)->first_connection_error());
       TRAJLDP_RETURN_NOT_OK(collector.Finish());
     }
-    TRAJLDP_RETURN_NOT_OK(finish_and_check(std::move(outputs), watch,
-                                           &result));
+    auto seconds = finish_and_check(std::move(outputs), watch);
     std::filesystem::remove(journal_path);
-    return result;
+    return seconds;
   };
 
   // --- Leg 4: connection churn — the million-device shape, scaled. ---
@@ -578,57 +560,39 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
     auto merged = core::MergeShardReleases(std::move(outputs), num_users);
     result.seconds = watch.ElapsedSeconds();
     if (!merged.ok()) return merged.status();
-    result.identical = Identical(*merged, reference);
+    result.identical = *merged == reference;
     return result;
   };
 
-  // Telemetry overhead: alternate untelemetered (stage timing off) and
-  // telemetered in-memory runs, best of 3 each. Alternating cancels
-  // slow drift (cache warmth, cpu frequency); best-of damps scheduler
-  // noise. The telemetered best doubles as the in-memory leg below.
-  LegResult inmem_untimed;
-  LegResult inmem;
-  bool inmem_identical = true;
-  for (int round = 0; round < 3; ++round) {
-    auto untimed = run_inmem(/*stage_timing=*/false);
-    if (!untimed.ok()) {
-      std::cerr << "in-memory (untelemetered) leg: " << untimed.status()
-                << "\n";
+  // The three timing gates. Each ratio is the numerator leg's seconds
+  // over the denominator leg's, i.e. the denominator's users/s over the
+  // numerator's. The gated journal configuration is batched fsync
+  // (every 64 KiB); fsync-per-record is measured once below and only
+  // reported — it is the deliberately paranoid end of the policy
+  // spectrum.
+  const bench::TimedLeg inmem = [&] { return run_inmem(true); };
+  const bench::TimedLeg untelemetered = [&] { return run_inmem(false); };
+  const bench::TimedLeg loopback = [&] { return run_loopback(1); };
+  const bench::TimedLeg journaled = [&] {
+    return run_journaled(io::FrameJournal::SyncPolicy::kEveryBytes);
+  };
+  bench::TimingGate loopback_gate{"inmem_over_loopback", 2.0, false};
+  bench::TimingGate journaled_gate{"loopback_over_journaled", 2.0, false};
+  bench::TimingGate metrics_gate{"metrics_overhead_ratio", 1.05, false};
+  for (const auto& [gate, numerator, denominator] :
+       {std::tuple{&loopback_gate, &loopback, &inmem},
+        std::tuple{&journaled_gate, &journaled, &loopback},
+        std::tuple{&metrics_gate, &inmem, &untelemetered}}) {
+    if (Status status = bench::RunPairedGate(kGateRounds, *numerator,
+                                             *denominator, *gate);
+        !status.ok()) {
+      std::cerr << gate->key << " rounds: " << status << "\n";
       return 1;
     }
-    auto timed = run_inmem(/*stage_timing=*/true);
-    if (!timed.ok()) {
-      std::cerr << "in-memory leg: " << timed.status() << "\n";
-      return 1;
-    }
-    inmem_identical = inmem_identical && untimed->identical &&
-                      timed->identical;
-    if (untimed->users_per_sec > inmem_untimed.users_per_sec) {
-      inmem_untimed = *untimed;
-    }
-    if (timed->users_per_sec > inmem.users_per_sec) inmem = *timed;
-  }
-  inmem.identical = inmem_identical;
-  const double metrics_overhead_ratio =
-      inmem_untimed.users_per_sec / inmem.users_per_sec;
-  const bool metrics_within = metrics_overhead_ratio <= 1.05;
-  auto loopback = run_loopback(1);
-  if (!loopback.ok()) {
-    std::cerr << "loopback leg: " << loopback.status() << "\n";
-    return 1;
   }
   auto loopback2 = run_loopback(2);
   if (!loopback2.ok()) {
     std::cerr << "loopback 2-shard leg: " << loopback2.status() << "\n";
-    return 1;
-  }
-  // The gated journal configuration is batched fsync (every 64 KiB);
-  // fsync-per-record is measured too but only reported — it is the
-  // deliberately paranoid end of the policy spectrum.
-  auto journaled = run_journaled(io::FrameJournal::SyncPolicy::kEveryBytes);
-  if (!journaled.ok()) {
-    std::cerr << "journaled (batched fsync) leg: " << journaled.status()
-              << "\n";
     return 1;
   }
   auto journaled_everyrec =
@@ -644,46 +608,38 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
     return 1;
   }
 
-  const double ratio = inmem.users_per_sec / loopback->users_per_sec;
-  const bool within_2x = ratio <= 2.0;
-  const double journaled_ratio =
-      loopback->users_per_sec / journaled->users_per_sec;
-  const bool journaled_within_2x = journaled_ratio <= 2.0;
-  const bool bit_identical =
-      inmem.identical && loopback->identical && loopback2->identical &&
-      journaled->identical && journaled_everyrec->identical;
+  const auto users_per_sec = [&](double seconds) {
+    return static_cast<double>(num_users) / seconds;
+  };
+  const double inmem_seconds = loopback_gate.denominator_seconds;
+  const double untimed_seconds = metrics_gate.denominator_seconds;
+  const double loopback_seconds = loopback_gate.numerator_seconds;
+  const double journaled_seconds = journaled_gate.numerator_seconds;
   // The churn gate: the reactor must actually have held the requested
   // connection count open at once (modulo a loudly-announced rlimit
   // cap) AND the work carried over those connections must merge
   // bit-identically.
   const bool churn_held = churn->concurrent >= churn->required;
-  std::printf("in-memory ingest : %8.0f users/s (%.3f s)%s\n",
-              inmem.users_per_sec, inmem.seconds,
-              inmem.identical ? "" : "  MISMATCH");
+  // Gated legs print their median over the timed rounds.
+  std::printf("in-memory ingest : %8.0f users/s (%.3f s)\n",
+              users_per_sec(inmem_seconds), inmem_seconds);
   std::printf("in-memory, stage timing off: %8.0f users/s (%.3f s)\n",
-              inmem_untimed.users_per_sec, inmem_untimed.seconds);
-  std::printf("loopback ingest  : %8.0f users/s (%.3f s)%s\n",
-              loopback->users_per_sec, loopback->seconds,
-              loopback->identical ? "" : "  MISMATCH");
-  std::printf("loopback 2 shards: %8.0f users/s (%.3f s)%s\n",
-              loopback2->users_per_sec, loopback2->seconds,
-              loopback2->identical ? "" : "  MISMATCH");
-  std::printf("journaled (64KiB fsync): %8.0f users/s (%.3f s)%s\n",
-              journaled->users_per_sec, journaled->seconds,
-              journaled->identical ? "" : "  MISMATCH");
-  std::printf("journaled (per-record fsync): %8.0f users/s (%.3f s)%s\n",
-              journaled_everyrec->users_per_sec, journaled_everyrec->seconds,
-              journaled_everyrec->identical ? "" : "  MISMATCH");
+              users_per_sec(untimed_seconds), untimed_seconds);
+  std::printf("loopback ingest  : %8.0f users/s (%.3f s)\n",
+              users_per_sec(loopback_seconds), loopback_seconds);
+  std::printf("loopback 2 shards: %8.0f users/s (%.3f s)\n",
+              users_per_sec(*loopback2), *loopback2);
+  std::printf("journaled (64KiB fsync): %8.0f users/s (%.3f s)\n",
+              users_per_sec(journaled_seconds), journaled_seconds);
+  std::printf("journaled (per-record fsync): %8.0f users/s (%.3f s)\n",
+              users_per_sec(*journaled_everyrec), *journaled_everyrec);
   std::printf("churn (%zu conns held): %zu concurrent (%.3f s)%s%s\n",
               churn->required, churn->concurrent, churn->seconds,
               churn_held ? "" : "  UNDER TARGET",
               churn->identical ? "" : "  MISMATCH");
-  std::printf("in-memory / loopback ratio: %.2fx (gate <= 2x): %s\n", ratio,
-              within_2x ? "PASS" : "FAIL");
-  std::printf("loopback / journaled ratio: %.2fx (gate <= 2x): %s\n",
-              journaled_ratio, journaled_within_2x ? "PASS" : "FAIL");
-  std::printf("telemetry overhead ratio: %.3fx (gate <= 1.05x): %s\n",
-              metrics_overhead_ratio, metrics_within ? "PASS" : "FAIL");
+  loopback_gate.Print();
+  journaled_gate.Print();
+  metrics_gate.Print();
   std::printf("/metrics scrape under churn load: %s\n",
               churn->scrape_ok ? "PASS" : "FAIL");
   std::cout << "all legs bit-identical to batch engine: "
@@ -704,32 +660,32 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
         << "  \"trajectory_len\": " << kTrajectoryLen << ",\n"
         << "  \"batch_size\": " << kBatchSize << ",\n"
         << "  \"hw_threads\": " << hw_threads << ",\n"
-        << "  \"inmem_seconds\": " << inmem.seconds << ",\n"
-        << "  \"inmem_users_per_sec\": " << inmem.users_per_sec << ",\n"
-        << "  \"inmem_untelemetered_users_per_sec\": "
-        << inmem_untimed.users_per_sec << ",\n"
-        << "  \"metrics_overhead_ratio\": " << metrics_overhead_ratio
+        << "  \"inmem_seconds\": " << inmem_seconds << ",\n"
+        << "  \"inmem_users_per_sec\": " << users_per_sec(inmem_seconds)
         << ",\n"
-        << "  \"metrics_within_1_05x\": "
-        << (metrics_within ? "true" : "false") << ",\n"
+        << "  \"inmem_untelemetered_users_per_sec\": "
+        << users_per_sec(untimed_seconds) << ",\n";
+    metrics_gate.WriteJson(out);
+    out << "  \"metrics_within_1_05x\": "
+        << (metrics_gate.pass() ? "true" : "false") << ",\n"
         << "  \"churn_metrics_scrape_ok\": "
         << (churn->scrape_ok ? "true" : "false") << ",\n"
-        << "  \"loopback_seconds\": " << loopback->seconds << ",\n"
-        << "  \"loopback_users_per_sec\": " << loopback->users_per_sec
+        << "  \"loopback_seconds\": " << loopback_seconds << ",\n"
+        << "  \"loopback_users_per_sec\": " << users_per_sec(loopback_seconds)
         << ",\n"
         << "  \"loopback_2shard_users_per_sec\": "
-        << loopback2->users_per_sec << ",\n"
-        << "  \"journaled_seconds\": " << journaled->seconds << ",\n"
-        << "  \"journaled_users_per_sec\": " << journaled->users_per_sec
-        << ",\n"
+        << users_per_sec(*loopback2) << ",\n"
+        << "  \"journaled_seconds\": " << journaled_seconds << ",\n"
+        << "  \"journaled_users_per_sec\": "
+        << users_per_sec(journaled_seconds) << ",\n"
         << "  \"journaled_everyrec_users_per_sec\": "
-        << journaled_everyrec->users_per_sec << ",\n"
-        << "  \"loopback_over_journaled\": " << journaled_ratio << ",\n"
-        << "  \"inmem_over_loopback\": " << ratio << ",\n"
-        << "  \"loopback_within_2x\": " << (within_2x ? "true" : "false")
-        << ",\n"
+        << users_per_sec(*journaled_everyrec) << ",\n";
+    journaled_gate.WriteJson(out);
+    loopback_gate.WriteJson(out);
+    out << "  \"loopback_within_2x\": "
+        << (loopback_gate.pass() ? "true" : "false") << ",\n"
         << "  \"journaled_within_2x\": "
-        << (journaled_within_2x ? "true" : "false") << ",\n"
+        << (journaled_gate.pass() ? "true" : "false") << ",\n"
         << "  \"churn_target_connections\": " << churn->target << ",\n"
         << "  \"churn_concurrent_connections\": " << churn->concurrent
         << ",\n"
@@ -742,8 +698,8 @@ int Run(size_t num_users, size_t churn_conns, const std::string& json_path) {
   }
 
   if (!bit_identical || !churn->identical) return 2;
-  return within_2x && journaled_within_2x && churn_held && metrics_within &&
-                 churn->scrape_ok
+  return loopback_gate.pass() && journaled_gate.pass() && churn_held &&
+                 metrics_gate.pass() && churn->scrape_ok
              ? 0
              : 3;
 }

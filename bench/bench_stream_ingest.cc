@@ -40,20 +40,6 @@ namespace {
 using core::FullRelease;
 using region::RegionId;
 
-bool Identical(const std::vector<FullRelease>& a,
-               const std::vector<FullRelease>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].regions != b[i].regions ||
-        !(a[i].trajectory == b[i].trajectory) ||
-        a[i].poi_attempts != b[i].poi_attempts ||
-        a[i].smoothed != b[i].smoothed) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct RunResult {
   size_t batch_size = 0;
   size_t queue_capacity = 0;
@@ -198,7 +184,7 @@ int Run(size_t num_users, const std::string& json_path) {
     result.seconds = watch.ElapsedSeconds();
     if (!merged.ok()) return merged.status();
     result.users_per_sec = static_cast<double>(num_users) / result.seconds;
-    result.identical = Identical(*merged, reference);
+    result.identical = *merged == reference;
     return result;
   };
 

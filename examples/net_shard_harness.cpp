@@ -747,13 +747,7 @@ int RunVerify(const Args& args) {
   auto reference = engine.ReleaseAllFull(world->users, args.seed);
   if (!reference.ok()) return Fail(reference.status());
 
-  bool identical = merged->size() == reference->size();
-  for (size_t i = 0; identical && i < merged->size(); ++i) {
-    identical = (*merged)[i].regions == (*reference)[i].regions &&
-                (*merged)[i].trajectory == (*reference)[i].trajectory &&
-                (*merged)[i].poi_attempts == (*reference)[i].poi_attempts &&
-                (*merged)[i].smoothed == (*reference)[i].smoothed;
-  }
+  const bool identical = *merged == *reference;
   std::cout << (identical
                     ? "multi-process shard output is bit-identical to the "
                       "in-process engine\n"

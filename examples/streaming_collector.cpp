@@ -143,11 +143,7 @@ int main(int argc, char** argv) {
     std::cerr << reference.status() << "\n";
     return 1;
   }
-  bool identical = merged->size() == reference->size();
-  for (size_t i = 0; identical && i < merged->size(); ++i) {
-    identical = (*merged)[i].regions == (*reference)[i].regions &&
-                (*merged)[i].trajectory == (*reference)[i].trajectory;
-  }
+  const bool identical = *merged == *reference;
   std::cout << (identical
                     ? "sharded output is bit-identical to the single-process "
                       "engine\n"

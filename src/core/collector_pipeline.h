@@ -48,6 +48,8 @@ struct FullRelease {
   size_t poi_attempts = 0;
   /// True when the §5.6 time-smoothing fallback produced the output.
   bool smoothed = false;
+
+  bool operator==(const FullRelease&) const = default;
 };
 
 /// \brief A release paired with the global user id it belongs to — the

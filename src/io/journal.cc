@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <utility>
@@ -110,9 +111,13 @@ Status ScanOne(int fd, uint64_t offset, uint64_t file_size, bool* complete,
   if (GetU32(header) != kJournalMagic) return Status::Ok();  // corrupt
   const uint32_t payload_len = GetU32(header + 4);
   if (payload_len > kMaxRecordPayloadBytes) return Status::Ok();  // corrupt
+  const size_t rest = payload_len + kRecordTrailerBytes;
+  // A length that runs past the end of the file is a torn tail; deciding
+  // that before allocating keeps a corrupt length from sizing a buffer
+  // larger than the file.
+  if (offset + sizeof(header) + rest > file_size) return Status::Ok();
   record->stream_id = GetU64(header + 8);
   record->seq = GetU64(header + 16);
-  const size_t rest = payload_len + kRecordTrailerBytes;
   std::string body(rest, '\0');
   TRAJLDP_RETURN_NOT_OK(
       PreadFully(fd, offset + sizeof(header), body.data(), rest, &got));
@@ -178,7 +183,7 @@ FrameJournal::FrameJournal(FrameJournal&& other) noexcept
       unsynced_bytes_(other.unsynced_bytes_),
       compactions_(other.compactions_),
       syncs_(other.syncs_),
-      last_sync_(other.last_sync_) {
+      last_sync_seconds_(other.last_sync_seconds_) {
   other.fd_ = -1;
 }
 
@@ -195,7 +200,7 @@ FrameJournal& FrameJournal::operator=(FrameJournal&& other) noexcept {
     unsynced_bytes_ = other.unsynced_bytes_;
     compactions_ = other.compactions_;
     syncs_ = other.syncs_;
-    last_sync_ = other.last_sync_;
+    last_sync_seconds_ = other.last_sync_seconds_;
     other.fd_ = -1;
   }
   return *this;
@@ -212,7 +217,6 @@ StatusOr<FrameJournal> FrameJournal::Open(const std::string& path,
   journal.path_ = path;
   journal.fd_ = fd;
   journal.options_ = options;
-  journal.last_sync_ = std::chrono::steady_clock::now();
 
   const off_t end = ::lseek(fd, 0, SEEK_END);
   if (end < 0) {
@@ -292,20 +296,9 @@ Status FrameJournal::Append(uint64_t stream_id, uint64_t seq,
   valid_bytes_ += record.size();
   ++records_;
 
-  switch (options_.sync) {
-    case SyncPolicy::kNone:
-      break;
-    case SyncPolicy::kEveryRecord:
-      return Sync();
-    case SyncPolicy::kEveryBytes:
-      if (unsynced_bytes_ >= options_.sync_every_bytes) return Sync();
-      break;
-    case SyncPolicy::kTimed:
-      if (std::chrono::steady_clock::now() - last_sync_ >=
-          options_.sync_interval) {
-        return Sync();
-      }
-      break;
+  if (options_.sync == SyncPolicy::kEveryRecord ||
+      unsynced_bytes_ >= options_.sync_every_bytes) {
+    return Sync();
   }
   return Status::Ok();
 }
@@ -314,10 +307,13 @@ Status FrameJournal::Sync() {
   if (fd_ < 0) {
     return Status::FailedPrecondition("journal is not open");
   }
+  const auto start = std::chrono::steady_clock::now();
   if (::fsync(fd_) != 0) return Errno("journal fsync failed");
+  last_sync_seconds_ = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
   unsynced_bytes_ = 0;
   ++syncs_;
-  last_sync_ = std::chrono::steady_clock::now();
   return Status::Ok();
 }
 
@@ -423,7 +419,6 @@ StatusOr<FrameJournal::CompactionInfo> FrameJournal::Compact(
   valid_bytes_ = info.bytes_after;
   unsynced_bytes_ = 0;  // the new file was fsynced in full
   ++syncs_;
-  last_sync_ = std::chrono::steady_clock::now();
   ++compactions_;
   // appended_bytes_ deliberately untouched: the fault-injection meter
   // counts Append() traffic from this process, not rewrites.

@@ -1,7 +1,6 @@
 #ifndef TRAJLDP_IO_JOURNAL_H_
 #define TRAJLDP_IO_JOURNAL_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -40,24 +39,18 @@ namespace trajldp::io {
 class FrameJournal {
  public:
   /// When appends reach the disk. SIGKILL of the collector process loses
-  /// nothing even under kNone (the page cache survives the process);
-  /// fsync only matters for machine crashes and power loss — see
-  /// docs/DURABILITY.md §Fsync policies for the full argument.
+  /// nothing under either policy (write() lands in the page cache, which
+  /// survives the process); fsync only matters for machine crashes and
+  /// power loss — see docs/DURABILITY.md §Fsync policies.
   enum class SyncPolicy {
-    kNone,         ///< never fsync (Close still does)
     kEveryRecord,  ///< fsync after every append — strongest, slowest
     kEveryBytes,   ///< fsync when >= sync_every_bytes accumulate unsynced
-    kTimed,        ///< fsync at an append when sync_interval has elapsed
-                   ///< since the last sync (checked at append time only;
-                   ///< there is no background flusher thread)
   };
 
   struct Options {
     SyncPolicy sync = SyncPolicy::kEveryRecord;
     /// kEveryBytes: unsynced-byte threshold that triggers an fsync.
     size_t sync_every_bytes = 64u << 10;
-    /// kTimed: minimum interval between fsyncs (checked at append time).
-    std::chrono::milliseconds sync_interval{50};
     /// Fault-injection hook for the crash harness: when > 0, the append
     /// that would push CUMULATIVE bytes appended by THIS process (not
     /// counting recovered bytes) past the limit writes only the bytes up
@@ -145,9 +138,7 @@ class FrameJournal {
   size_t records() const { return records_; }
   /// Bytes of complete records (the replayable extent).
   uint64_t valid_bytes() const { return valid_bytes_; }
-  /// Bytes appended but not yet fsynced — 0 right after any sync. The
-  /// idle-tail flush (IngestServer) watches this to decide whether a
-  /// deadline-armed fsync is still owed.
+  /// Bytes appended but not yet fsynced — 0 right after any sync.
   uint64_t unsynced_bytes() const { return unsynced_bytes_; }
   /// Completed Compact() calls on this handle.
   size_t compactions() const { return compactions_; }
@@ -155,6 +146,10 @@ class FrameJournal {
   /// Close(), and compaction rewrites). The telemetry layer exports
   /// this as `trajldp_journal_fsyncs` without io depending on obs.
   size_t syncs() const { return syncs_; }
+  /// Wall seconds the most recent Sync() spent in fsync (0 before the
+  /// first). IngestServer observes it into `trajldp_journal_sync_seconds`
+  /// whenever an Append advanced syncs().
+  double last_sync_seconds() const { return last_sync_seconds_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -168,7 +163,7 @@ class FrameJournal {
   uint64_t unsynced_bytes_ = 0;
   size_t compactions_ = 0;
   size_t syncs_ = 0;
-  std::chrono::steady_clock::time_point last_sync_{};
+  double last_sync_seconds_ = 0.0;
 };
 
 }  // namespace trajldp::io

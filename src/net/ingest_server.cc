@@ -129,7 +129,7 @@ void IngestServer::RegisterMetrics() {
       "Latency of one journal append (excl. compaction)",
       obs::DefaultLatencyBounds(), labels);
   journal_sync_seconds_ = registry_->GetHistogram(
-      "trajldp_journal_sync_seconds", "Latency of an idle-tail journal fsync",
+      "trajldp_journal_sync_seconds", "Latency of one journal fsync",
       obs::DefaultLatencyBounds(), labels);
   // Journal state is mutex-guarded, not atomic, so it is exported by a
   // scrape-time hook instead of a continuously-updated gauge. The hook
@@ -191,10 +191,6 @@ Status IngestServer::OpenJournalAndReplay() {
 Status IngestServer::StartReactors() {
   TRAJLDP_RETURN_NOT_OK(SetNonBlocking(listener_.fd()));
   TRAJLDP_RETURN_NOT_OK(accept_backoff_timer_.Open());
-  if (journal_.has_value() &&
-      options_.journal_options.sync == io::FrameJournal::SyncPolicy::kTimed) {
-    TRAJLDP_RETURN_NOT_OK(flush_timer_.Open());
-  }
   // Loop telemetry is shared across every reactor of this server: one
   // wakeup/event series for the shard, striped internally so N loops
   // never contend on a cache line.
@@ -216,18 +212,14 @@ Status IngestServer::StartReactors() {
     ReactorState* rs = reactors_[i].get();
     TRAJLDP_RETURN_NOT_OK(rs->reactor.Start("ingest-reactor"));
     // Registrations happen ON the loop thread (Add is loop-thread-only
-    // once the loop runs). The listener lives on reactor 0, as do the
-    // accept-backoff and journal-flush timers.
+    // once the loop runs). The listener lives on reactor 0, as does the
+    // accept-backoff timer.
     rs->reactor.Post([this, i, rs] {
       (void)rs->reactor.Add(rs->retry_timer.fd(), EPOLLIN,
                             [this, i](uint32_t) { OnRetryTimer(i); });
       if (i != 0) return;
       (void)rs->reactor.Add(accept_backoff_timer_.fd(), EPOLLIN,
                             [this](uint32_t) { OnAcceptBackoffTimer(); });
-      if (flush_timer_.valid()) {
-        (void)rs->reactor.Add(flush_timer_.fd(), EPOLLIN,
-                              [this](uint32_t) { OnFlushTimer(); });
-      }
       (void)rs->reactor.Add(listener_.fd(), EPOLLIN,
                             [this](uint32_t) { OnAccept(); });
     });
@@ -532,25 +524,19 @@ Status IngestServer::HandleFrame(ReactorState& rs, Conn* conn,
 Status IngestServer::JournalAppend(uint64_t stream_id, uint64_t seq,
                                    std::string_view frame) {
   std::lock_guard<std::mutex> lock(journal_mu_);
+  const size_t syncs_before = journal_->syncs();
   const auto append_start = std::chrono::steady_clock::now();
   TRAJLDP_RETURN_NOT_OK(journal_->Append(stream_id, seq, frame));
   journal_append_seconds_->Observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     append_start)
           .count());
-  frames_journaled_->Add(1);
-
-  // Idle-tail flush: kTimed checks its deadline only AT an append, so a
-  // burst followed by silence would leave its tail unsynced forever.
-  // Arm a one-shot deadline covering the current tail; the reactor
-  // fsyncs when it fires (OnFlushTimer) if no later append already did.
-  if (options_.journal_options.sync == io::FrameJournal::SyncPolicy::kTimed &&
-      flush_timer_.valid() && !flush_armed_ &&
-      journal_->unsynced_bytes() > 0) {
-    if (flush_timer_.ArmOnce(options_.journal_options.sync_interval).ok()) {
-      flush_armed_ = true;
-    }
+  // The policy fsyncs inside Append; the journal times it (io does not
+  // depend on obs), and the span records it here.
+  if (journal_->syncs() != syncs_before) {
+    journal_sync_seconds_->Observe(journal_->last_sync_seconds());
   }
+  frames_journaled_->Add(1);
 
   // Size-triggered compaction: rewrite down to the live suffix once the
   // valid extent outgrows the threshold. The trigger re-bases on the
@@ -648,27 +634,6 @@ void IngestServer::OnRetryTimer(size_t reactor_index) {
       // Resumed: re-enable EPOLLIN. Frames the kernel buffered while
       // paused re-notify immediately (level-triggered).
       (void)rs.reactor.Mod(fd, InterestOf(*conn));
-    }
-  }
-}
-
-void IngestServer::OnFlushTimer() {
-  flush_timer_.Drain();
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  flush_armed_ = false;
-  if (journal_.has_value() && journal_->unsynced_bytes() > 0) {
-    const auto sync_start = std::chrono::steady_clock::now();
-    Status s = journal_->Sync();
-    if (s.ok()) {
-      journal_sync_seconds_->Observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        sync_start)
-              .count());
-    }
-    if (!s.ok()) {
-      // No connection owns a background sync; surface it on the same
-      // channel tests and operators already watch.
-      RecordConnectionError(std::move(s));
     }
   }
 }

@@ -107,10 +107,9 @@ class ReleaseWatermarks {
 ///
 /// ### Journal maintenance
 ///
-/// Two maintenance duties the append path alone cannot discharge run on
-/// the reactor: an idle-tail flush timer (SyncPolicy::kTimed) fsyncs
-/// the journal within sync_interval of the last append even when no
-/// further append arrives, and size-triggered compaction
+/// Every fsync happens inside an append, as the journal's SyncPolicy
+/// decides (docs/DURABILITY.md §Fsync policies), and each one is timed
+/// into `trajldp_journal_sync_seconds`. Size-triggered compaction
 /// (journal_compact_threshold_bytes + compact_watermarks) rewrites the
 /// journal down to its live suffix — see docs/DURABILITY.md §Compaction.
 ///
@@ -214,8 +213,8 @@ class IngestServer {
     size_t queue_depth = 0;
     size_t queue_high_water = 0;
     /// Journal bytes appended but not yet fsynced (0 without a journal,
-    /// and 0 within sync_interval of the last append under kTimed —
-    /// the idle-tail flush guarantee).
+    /// and always 0 under kEveryRecord; under kEveryBytes at most the
+    /// sync_every_bytes threshold).
     uint64_t journal_unsynced_bytes = 0;
     /// Completed journal compactions this run.
     size_t journal_compactions = 0;
@@ -303,7 +302,6 @@ class IngestServer {
   void AdoptConn(size_t reactor_index, Socket socket);
   void OnConnEvent(size_t reactor_index, int fd, uint32_t events);
   void OnRetryTimer(size_t reactor_index);
-  void OnFlushTimer();
 
   /// The exactly-once frame pipeline: CRC → dup → gap → range →
   /// journal → push → hwm → ack. Pauses the connection instead of
@@ -315,8 +313,8 @@ class IngestServer {
                        uint64_t stream_id, uint64_t seq,
                        bool already_journaled);
   Status QueueAck(ReactorState& rs, Conn* conn, uint64_t ack_seq);
-  /// Appends under journal_mu_, then runs the size-triggered compaction
-  /// and arms the idle-tail flush as needed.
+  /// Appends under journal_mu_, times the fsync the append caused (if
+  /// any), then runs the size-triggered compaction as needed.
   Status JournalAppend(uint64_t stream_id, uint64_t seq,
                        std::string_view frame);
 
@@ -358,16 +356,13 @@ class IngestServer {
   /// journal_ under journal_mu_ at scrape time); removed in ~IngestServer.
   std::size_t hook_id_ = 0;
 
-  /// Guards journal_, stream_hwm_, flush_armed_, compact_next_trigger_
+  /// Guards journal_, stream_hwm_, compact_next_trigger_
   /// across reactor threads. Held around appends / map lookups /
   /// maintenance — never across a collector push.
   mutable std::mutex journal_mu_;
   std::optional<io::FrameJournal> journal_;
   /// Per-stream highest contiguously ingested sequence (the ack value).
   std::unordered_map<uint64_t, uint64_t> stream_hwm_;
-  /// Idle-tail flush (kTimed): true while flush_timer_ has a pending
-  /// deadline covering the current unsynced tail.
-  bool flush_armed_ = false;
   /// Next valid_bytes() level that triggers a compaction (thrash guard:
   /// re-based after every run).
   uint64_t compact_next_trigger_ = 0;
@@ -383,9 +378,8 @@ class IngestServer {
   /// keeps TSan quiet if accept ever moves).
   std::atomic<size_t> next_reactor_{0};
 
-  /// Reactor 0 extras: listener backoff + journal idle-tail flush.
+  /// Reactor 0 extra: listener backoff.
   TimerFd accept_backoff_timer_;
-  TimerFd flush_timer_;
 
   std::vector<std::unique_ptr<ReactorState>> reactors_;
 };

@@ -28,6 +28,7 @@
 #include "net/fault_proxy.h"
 #include "net/ingest_server.h"
 #include "net/report_client.h"
+#include "obs/metrics.h"
 #include "test_world.h"
 
 namespace trajldp::net {
@@ -526,24 +527,21 @@ TEST_F(ExactlyOnceFixture, FreshStreamReuploadCaughtByUserIdDedup) {
   FinishAndVerify(shard.get(), reference);
 }
 
-// ---------- durability maintenance: idle-tail flush, compaction ----------
+// ---------- durability maintenance: fsync timing, compaction ----------
 
-TEST_F(ExactlyOnceFixture, TimedPolicyFlushesIdleTailWithoutFurtherAppends) {
-  // Regression for the kTimed durability hole: the policy used to check
-  // the clock only AT an append, so a burst followed by silence left
-  // the tail unsynced forever. The reactor's deadline-armed flush must
-  // sync it within sync_interval with NO further appends arriving.
+TEST_F(ExactlyOnceFixture, SyncSpanObservesEveryFsyncTheAppendsCaused) {
+  // Every journal fsync happens inside an append, as the policy decides,
+  // so the sync span must hold exactly one observation per fsync — here
+  // under kEveryBytes, the batched policy the benches run.
   const uint64_t seed = 73;
-  const auto users = MakeUsers(12, 21);
+  const auto users = MakeUsers(24, 21);
+  const auto reference = Reference(users, seed);
   const auto reports = MakeReports(users, seed);
-  const std::string journal = JournalPath("idle_flush");
 
   IngestServer::Options options;
-  options.journal_path = journal;
-  options.journal_options.sync = io::FrameJournal::SyncPolicy::kTimed;
-  // Long enough that the burst below finishes well inside one interval
-  // (so the appends themselves never trip a sync), short enough to wait.
-  options.journal_options.sync_interval = std::chrono::milliseconds(200);
+  options.journal_path = JournalPath("sync_span");
+  options.journal_options.sync = io::FrameJournal::SyncPolicy::kEveryBytes;
+  options.journal_options.sync_every_bytes = 512;  // every other frame
   StreamingCollector::Config config;
   config.dedup_user_ids = true;
   auto shard = StartShard(seed, options, config);
@@ -554,25 +552,21 @@ TEST_F(ExactlyOnceFixture, TimedPolicyFlushesIdleTailWithoutFurtherAppends) {
   SendInBatches(client, reports, 3);
   ASSERT_TRUE(client.Flush().ok());
   client.Close();
-  // ... and then the stream goes idle. The unsynced tail must reach the
-  // disk on the timer, observable as the counter draining to zero.
-  ASSERT_TRUE(WaitFor([&] {
-    return shard->server->stats().journal_unsynced_bytes == 0 &&
-           shard->server->stats().frames_journaled == 4u;
-  }));
+  ASSERT_TRUE(WaitFor(
+      [&] { return shard->server->stats().frames_journaled == 8u; }));
 
-  // Belt and braces: a copy of the journal file taken NOW (server still
-  // up, nothing closed) must already hold every record — that is what
-  // "synced" buys across a machine crash.
-  const std::string copy = JournalPath("idle_flush_copy");
-  std::filesystem::copy_file(journal, copy);
-  auto reopened = io::FrameJournal::Open(copy, {});
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened->records(), 4u);
-  EXPECT_EQ(reopened->recovery_info().truncated_bytes, 0u);
-
-  shard->server->Shutdown();
-  ASSERT_TRUE(shard->collector->Finish().ok());
+  // The stream is idle and nothing else syncs the journal before
+  // Shutdown, so the fsync gauge counts exactly the appends' fsyncs.
+  const obs::RegistrySnapshot snapshot = shard->server->metrics()->Snapshot();
+  const obs::MetricSnapshot* fsyncs = snapshot.Find("trajldp_journal_fsyncs");
+  const obs::MetricSnapshot* span =
+      snapshot.Find("trajldp_journal_sync_seconds");
+  ASSERT_NE(fsyncs, nullptr);
+  ASSERT_NE(span, nullptr);
+  EXPECT_GT(fsyncs->value, 0.0);
+  EXPECT_LT(fsyncs->value, 8.0);  // batched: fewer fsyncs than frames
+  EXPECT_EQ(static_cast<double>(span->count), fsyncs->value);
+  FinishAndVerify(shard.get(), reference);
 }
 
 TEST_F(ExactlyOnceFixture, CompactionShrinksJournalAndRestartStaysBitIdentical) {

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "io/journal.h"
+#include "io/wire.h"
 
 namespace trajldp::io {
 namespace {
@@ -197,17 +202,14 @@ TEST(JournalTest, MidFileCorruptionKeepsOnlyThePrecedingPrefix) {
 }
 
 TEST(JournalTest, SyncPoliciesAllPersist) {
-  for (const auto sync : {FrameJournal::SyncPolicy::kNone,
-                          FrameJournal::SyncPolicy::kEveryRecord,
-                          FrameJournal::SyncPolicy::kEveryBytes,
-                          FrameJournal::SyncPolicy::kTimed}) {
+  for (const auto sync : {FrameJournal::SyncPolicy::kEveryRecord,
+                          FrameJournal::SyncPolicy::kEveryBytes}) {
     const std::string path = TempPath(
         "journal_sync_" +
         std::to_string(static_cast<int>(sync)) + ".log");
     FrameJournal::Options options;
     options.sync = sync;
     options.sync_every_bytes = 64;  // trip the byte policy mid-run
-    options.sync_interval = std::chrono::milliseconds(0);  // trip timed
     const auto records = ThreeRecords();
     WriteJournal(path, records, options);
     auto journal = FrameJournal::Open(path, {});
@@ -342,6 +344,119 @@ TEST(JournalTest, OversizedLengthFieldTreatedAsCorruption) {
   auto journal = FrameJournal::Open(path, {});
   ASSERT_TRUE(journal.ok()) << journal.status();
   EXPECT_EQ(journal->recovery_info().records, 2u);
+}
+
+// ---------- seeded mutation of recovery ----------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Whatever one mutation does to a journal — a flipped bit, a truncation,
+// a spliced length field, a deleted byte — Open() must succeed, keep
+// exactly the records that end before the first damaged byte, cut the
+// file to them, and leave nothing for a second Open() to truncate.
+TEST(JournalMutationTest, OpenKeepsLongestValidPrefix) {
+  // The recovery scan's payload bound: one complete wire frame.
+  constexpr uint64_t kLimit =
+      kWireHeaderBytes + kWireMaxPayloadBytes + kWireTrailerBytes;
+  const uint64_t kSplices[] = {0, 1, kLimit - 1, kLimit, kLimit + 1,
+                               0xFFFFFFFFu};
+  const std::string master = TempPath("journal_mutation_master.log");
+  const std::string path = TempPath("journal_mutation_case.log");
+  // Only Close() fsyncs: a thousand cases stay fast.
+  FrameJournal::Options quiet;
+  quiet.sync = FrameJournal::SyncPolicy::kEveryBytes;
+  quiet.sync_every_bytes = std::numeric_limits<size_t>::max();
+
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Sequenced and unsequenced (seq 0) records around one compaction
+    // marker: an empty payload carrying its stream's high-water mark.
+    const size_t count = 2 + rng.UniformUint64(6);
+    const size_t marker = rng.UniformUint64(count);
+    std::vector<Record> records;
+    std::vector<uint64_t> ends;  // end offset of each record
+    uint64_t next_seq = 1;
+    for (size_t i = 0; i < count; ++i) {
+      Record record{1 + rng.UniformUint64(3), 0, ""};
+      if (i == marker || rng.UniformUint64(3) != 0) record.seq = next_seq++;
+      if (i != marker) {
+        record.payload.resize(1 + rng.UniformUint64(40));
+        for (char& c : record.payload) {
+          c = static_cast<char>(rng.UniformUint64(256));
+        }
+      }
+      ends.push_back((ends.empty() ? 0 : ends.back()) + RecordBytes(record));
+      records.push_back(std::move(record));
+    }
+    WriteJournal(master, records, quiet);
+    const std::string original = ReadFile(master);
+    ASSERT_EQ(original.size(), ends.back());
+
+    std::string mutated = original;
+    switch (rng.UniformUint64(4)) {
+      case 0:  // flip one bit
+        mutated[rng.UniformUint64(mutated.size())] ^=
+            static_cast<char>(1u << rng.UniformUint64(8));
+        break;
+      case 1:  // truncate
+        mutated.resize(rng.UniformUint64(mutated.size()));
+        break;
+      case 2: {  // splice one record's payload-length field
+        const size_t k = rng.UniformUint64(count);
+        const size_t choice = rng.UniformUint64(std::size(kSplices) + 1);
+        const uint64_t value = choice < std::size(kSplices)
+                                   ? kSplices[choice]
+                                   : rng.UniformUint64(uint64_t{1} << 32);
+        const size_t field = (k == 0 ? 0 : ends[k - 1]) + 4;
+        for (int b = 0; b < 4; ++b) {
+          mutated[field + b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+        }
+        break;
+      }
+      default:  // delete one byte
+        mutated.erase(rng.UniformUint64(mutated.size()), 1);
+        break;
+    }
+    // The first damaged byte: where the mutated file first differs from
+    // the original, or where the shorter of the two ends.
+    const size_t common = std::min(original.size(), mutated.size());
+    const size_t damaged =
+        std::mismatch(original.begin(), original.begin() + common,
+                      mutated.begin())
+            .first -
+        original.begin();
+    size_t survivors = 0;
+    while (survivors < count && ends[survivors] <= damaged) ++survivors;
+    const uint64_t valid = survivors == 0 ? 0 : ends[survivors - 1];
+    const std::vector<Record> kept(records.begin(),
+                                   records.begin() + survivors);
+
+    WriteFile(path, mutated);
+    {
+      auto journal = FrameJournal::Open(path, quiet);
+      ASSERT_TRUE(journal.ok()) << journal.status();
+      EXPECT_EQ(journal->recovery_info().records, survivors);
+      EXPECT_EQ(journal->recovery_info().valid_bytes, valid);
+      EXPECT_EQ(journal->recovery_info().truncated_bytes,
+                mutated.size() - valid);
+      EXPECT_EQ(fs::file_size(path), valid);
+      ExpectSameRecords(ReplayAll(*journal), kept);
+    }
+    auto reopened = FrameJournal::Open(path, quiet);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->records(), survivors);
+    EXPECT_EQ(reopened->recovery_info().truncated_bytes, 0u);
+    ExpectSameRecords(ReplayAll(*reopened), kept);
+  }
 }
 
 }  // namespace
