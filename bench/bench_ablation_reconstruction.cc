@@ -1,6 +1,6 @@
 // Ablation A: the optimal reconstruction solved two ways — the paper's
 // ILP (via the bundled simplex solver, §5.5) versus the exact layered-DP
-// (Viterbi) this library defaults to. Verifies that both return the same
+// (Viterbi) the collector runs. Verifies that both return the same
 // objective value on every instance and compares their runtimes as the
 // candidate set grows, substantiating Table 3's observation that the LP
 // dominates mechanism runtime.
@@ -145,6 +145,6 @@ int main() {
       "The DP and LP must agree on every instance (the flow polytope is\n"
       "integral). The LP should be orders of magnitude slower, which is\n"
       "exactly why the paper's Table 3 shows >85% of mechanism runtime in\n"
-      "the LP stage — and why this library defaults to the DP.");
+      "the LP stage — and why the collector runs the DP.");
   return instances == equal ? 0 : 1;
 }

@@ -139,11 +139,11 @@ void BM_ViterbiReconstruct(benchmark::State& state) {
     state.SkipWithError("problem build failed");
     return;
   }
-  core::ViterbiReconstructor solver;
-  auto ws = solver.NewWorkspace();
+  core::ViterbiWorkspace ws;
   region::RegionTrajectory out;
   for (auto _ : state) {
-    const Status status = solver.ReconstructInto(*problem, *ws, out);
+    const Status status =
+        core::ViterbiReconstructor::ReconstructInto(*problem, ws, out);
     if (!status.ok()) {
       state.SkipWithError("reconstruction failed");
       return;

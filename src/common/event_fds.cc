@@ -88,47 +88,14 @@ Status TimerFd::Open() {
   return Status::Ok();
 }
 
-namespace {
-
-itimerspec MakeSpec(std::chrono::nanoseconds value,
-                    std::chrono::nanoseconds interval) {
-  itimerspec spec{};
-  spec.it_value.tv_sec = value.count() / 1'000'000'000;
-  spec.it_value.tv_nsec = value.count() % 1'000'000'000;
-  spec.it_interval.tv_sec = interval.count() / 1'000'000'000;
-  spec.it_interval.tv_nsec = interval.count() % 1'000'000'000;
-  return spec;
-}
-
-}  // namespace
-
 Status TimerFd::ArmOnce(std::chrono::nanoseconds delay) const {
   if (fd_ < 0) return Status::FailedPrecondition("timer is not open");
   // it_value of all-zero DISARMS a timerfd; clamp to 1ns so "fire now"
   // means "fire immediately", not "never".
   if (delay < std::chrono::nanoseconds(1)) delay = std::chrono::nanoseconds(1);
-  const itimerspec spec = MakeSpec(delay, std::chrono::nanoseconds(0));
-  if (::timerfd_settime(fd_, 0, &spec, nullptr) != 0) {
-    return Errno("timerfd_settime");
-  }
-  return Status::Ok();
-}
-
-Status TimerFd::ArmPeriodic(std::chrono::nanoseconds period) const {
-  if (fd_ < 0) return Status::FailedPrecondition("timer is not open");
-  if (period < std::chrono::nanoseconds(1)) {
-    period = std::chrono::nanoseconds(1);
-  }
-  const itimerspec spec = MakeSpec(period, period);
-  if (::timerfd_settime(fd_, 0, &spec, nullptr) != 0) {
-    return Errno("timerfd_settime");
-  }
-  return Status::Ok();
-}
-
-Status TimerFd::Disarm() const {
-  if (fd_ < 0) return Status::FailedPrecondition("timer is not open");
-  const itimerspec spec{};
+  itimerspec spec{};  // it_interval stays zero: fire once
+  spec.it_value.tv_sec = delay.count() / 1'000'000'000;
+  spec.it_value.tv_nsec = delay.count() % 1'000'000'000;
   if (::timerfd_settime(fd_, 0, &spec, nullptr) != 0) {
     return Errno("timerfd_settime");
   }

@@ -74,12 +74,6 @@ class TimerFd {
   /// replaces any pending deadline. Callable from any thread.
   Status ArmOnce(std::chrono::nanoseconds delay) const;
 
-  /// Fires every `period`, first firing one period from now.
-  Status ArmPeriodic(std::chrono::nanoseconds period) const;
-
-  /// Cancels any pending deadline.
-  Status Disarm() const;
-
   /// Consumes the expiration count so the fd reads as not-ready again.
   /// Returns how many times the timer fired since the last drain (0
   /// when it had not fired — e.g. a spurious wake).

@@ -21,13 +21,12 @@ StageBreakdown& StageBreakdown::operator+=(const StageBreakdown& other) {
 CollectorPipeline::CollectorPipeline(
     const region::StcDecomposition* decomp,
     const region::RegionDistance* distance, const region::RegionGraph* graph,
-    const NgramPerturber* perturber, const Reconstructor* reconstructor,
+    const NgramPerturber* perturber,
     const PoiReconstructor* poi_reconstructor, double mbr_expand_km)
     : decomp_(decomp),
       distance_(distance),
       graph_(graph),
       perturber_(perturber),
-      reconstructor_(reconstructor),
       poi_reconstructor_(poi_reconstructor),
       mbr_expand_km_(mbr_expand_km) {}
 
@@ -76,13 +75,8 @@ Status CollectorPipeline::ReconstructRegionsInto(
 
   // Stage: optimal region-level reconstruction.
   watch.Restart();
-  if (ws.reconstructor == nullptr ||
-      ws.reconstructor_owner != reconstructor_) {
-    ws.reconstructor = reconstructor_->NewWorkspace();
-    ws.reconstructor_owner = reconstructor_;
-  }
   Status reconstructed =
-      reconstructor_->ReconstructInto(ws.problem, *ws.reconstructor, out);
+      ViterbiReconstructor::ReconstructInto(ws.problem, ws.viterbi, out);
   if (reconstructed.code() == StatusCode::kFailedPrecondition) {
     // The MBR candidate set admitted no feasible path (possible when the
     // perturbed n-grams are spatially scattered). Retry over all regions;
@@ -94,7 +88,7 @@ Status CollectorPipeline::ReconstructRegionsInto(
     TRAJLDP_RETURN_NOT_OK(ws.problem.Reset(distance_, graph_, trajectory_len,
                                            z, ws.candidates));
     reconstructed =
-        reconstructor_->ReconstructInto(ws.problem, *ws.reconstructor, out);
+        ViterbiReconstructor::ReconstructInto(ws.problem, ws.viterbi, out);
   }
   TRAJLDP_RETURN_NOT_OK(reconstructed);
   if (stages != nullptr) {

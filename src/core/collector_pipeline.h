@@ -2,7 +2,6 @@
 #define TRAJLDP_CORE_COLLECTOR_PIPELINE_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/status_or.h"
@@ -10,6 +9,7 @@
 #include "core/ngram_perturber.h"
 #include "core/poi_reconstructor.h"
 #include "core/reconstruction.h"
+#include "core/viterbi_reconstructor.h"
 #include "model/trajectory.h"
 #include "region/decomposition.h"
 #include "region/region_distance.h"
@@ -61,23 +61,18 @@ struct UserRelease {
 
 /// \brief Per-thread scratch for the full release pipeline: sampler
 /// buffers, candidate/observed region lists, the reconstruction problem
-/// (error tables), solver scratch (DP tables or LP tableaus), and POI
-/// sampling buffers. One per worker thread (see BatchReleaseEngine and
-/// StreamingCollector); with a workspace the per-user hot loop allocates
-/// only the released outputs themselves once buffers reach steady state.
-/// Workspaces never change results: runs with and without one are
-/// bit-identical.
+/// (error tables), the Viterbi solver's DP tables and in-adjacency, and
+/// POI sampling buffers. One per worker thread (see BatchReleaseEngine
+/// and StreamingCollector); with a workspace the per-user hot loop
+/// allocates only the released outputs themselves once buffers reach
+/// steady state. Workspaces never change results: runs with and without
+/// one are bit-identical.
 struct PipelineWorkspace {
   SamplerWorkspace sampler;
   std::vector<region::RegionId> observed;
   std::vector<region::RegionId> candidates;
   ReconstructionProblem problem;
-  /// Solver-specific scratch, created lazily by the pipeline via
-  /// Reconstructor::NewWorkspace. `reconstructor_owner` records which
-  /// solver created it so a workspace shared across mechanisms with
-  /// different reconstructors is re-created instead of rejected.
-  std::unique_ptr<Reconstructor::Workspace> reconstructor;
-  const Reconstructor* reconstructor_owner = nullptr;
+  ViterbiWorkspace viterbi;
   PoiReconstructor::Workspace poi;
 };
 
@@ -88,8 +83,9 @@ struct PipelineWorkspace {
 ///
 /// A pipeline is a bundle of const pointers into one mechanism's public
 /// pre-processing (decomposition, distance table, feasibility graph,
-/// perturber, solvers); it is cheap to copy and safe to use from many
-/// threads at once as long as each call gets its own workspace and Rng.
+/// perturber, POI resampler); it is cheap to copy and safe to use from
+/// many threads at once as long as each call gets its own workspace and
+/// Rng.
 ///
 /// ### The RNG seam (why sharding is bit-exact)
 ///
@@ -124,7 +120,6 @@ class CollectorPipeline {
                     const region::RegionDistance* distance,
                     const region::RegionGraph* graph,
                     const NgramPerturber* perturber,
-                    const Reconstructor* reconstructor,
                     const PoiReconstructor* poi_reconstructor,
                     double mbr_expand_km);
 
@@ -140,14 +135,6 @@ class CollectorPipeline {
   /// (the device stream).
   Status PerturbInto(const region::RegionTrajectory& tau, Rng& rng,
                      SamplerWorkspace& ws, PerturbedNgramSet& out) const;
-
-  /// Collector side, deterministic half: R_mbr candidate selection +
-  /// optimal region-level reconstruction from a report. Needs no RNG.
-  Status ReconstructRegionsInto(size_t trajectory_len,
-                                const PerturbedNgramSet& z,
-                                PipelineWorkspace& ws,
-                                region::RegionTrajectory& out,
-                                StageBreakdown* stages = nullptr) const;
 
   /// Collector side, complete: region-level reconstruction + POI-level
   /// resampling with time-smoothing fallback. `collector_rng` must be
@@ -175,11 +162,19 @@ class CollectorPipeline {
   size_t num_regions() const;
 
  private:
+  /// Collector side, deterministic half: R_mbr candidate selection +
+  /// optimal region-level reconstruction (ViterbiReconstructor) from a
+  /// report. Needs no RNG.
+  Status ReconstructRegionsInto(size_t trajectory_len,
+                                const PerturbedNgramSet& z,
+                                PipelineWorkspace& ws,
+                                region::RegionTrajectory& out,
+                                StageBreakdown* stages) const;
+
   const region::StcDecomposition* decomp_;
   const region::RegionDistance* distance_;
   const region::RegionGraph* graph_;
   const NgramPerturber* perturber_;
-  const Reconstructor* reconstructor_;
   const PoiReconstructor* poi_reconstructor_;
   double mbr_expand_km_;
 };

@@ -7,19 +7,9 @@
 
 namespace trajldp::core {
 
-std::unique_ptr<Reconstructor::Workspace> LpReconstructor::NewWorkspace()
-    const {
-  return std::make_unique<LpReconstructorWorkspace>();
-}
-
 Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
-                                        Workspace& ws,
+                                        LpReconstructorWorkspace& ws,
                                         region::RegionTrajectory& out) const {
-  auto* w = dynamic_cast<LpReconstructorWorkspace*>(&ws);
-  if (w == nullptr) {
-    return Status::InvalidArgument(
-        "workspace was not created by LpReconstructor::NewWorkspace");
-  }
   const size_t len = problem.traj_len();
   const auto& candidates = problem.candidates();
   const size_t num_cand = candidates.size();
@@ -34,7 +24,7 @@ Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
   }
 
   // Enumerate feasible candidate bigrams (the W² restriction of x_i^w).
-  std::vector<std::pair<size_t, size_t>>& bigrams = w->bigrams;
+  std::vector<std::pair<size_t, size_t>>& bigrams = ws.bigrams;
   bigrams.clear();
   for (size_t c1 = 0; c1 < num_cand; ++c1) {
     for (size_t c2 = 0; c2 < num_cand; ++c2) {
@@ -48,7 +38,7 @@ Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
   const size_t num_bigrams = bigrams.size();
   const size_t layers = len - 1;
 
-  lp::LpProblem& lp = w->lp;
+  lp::LpProblem& lp = ws.lp;
   lp.constraints.clear();
   lp.num_vars = layers * num_bigrams;
   lp.objective.resize(lp.num_vars);
@@ -84,7 +74,7 @@ Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
     }
   }
 
-  const Status solved = solver_.Solve(lp, w->simplex, w->solution);
+  const Status solved = solver_.Solve(lp, ws.simplex, ws.solution);
   if (!solved.ok()) {
     if (solved.code() == StatusCode::kFailedPrecondition) {
       return Status::FailedPrecondition(
@@ -93,7 +83,7 @@ Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
     }
     return solved;
   }
-  const lp::LpSolution& solution = w->solution;
+  const lp::LpSolution& solution = ws.solution;
 
   // Extract the path. Shortest-path LPs have integral vertex optima, so
   // the per-layer maximiser traces the chosen path; following the region
@@ -119,6 +109,14 @@ Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
     current = bigrams[best_k].second;
   }
   return Status::Ok();
+}
+
+StatusOr<region::RegionTrajectory> LpReconstructor::Reconstruct(
+    const ReconstructionProblem& problem) const {
+  LpReconstructorWorkspace ws;
+  region::RegionTrajectory out;
+  TRAJLDP_RETURN_NOT_OK(ReconstructInto(problem, ws, out));
+  return out;
 }
 
 }  // namespace trajldp::core

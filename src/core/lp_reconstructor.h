@@ -15,7 +15,7 @@ namespace trajldp::core {
 /// Reused across users so repeated LP reconstructions avoid re-allocating
 /// the dense tableau (the dominant set-up cost; the constraint rows are
 /// still rebuilt per problem).
-struct LpReconstructorWorkspace : Reconstructor::Workspace {
+struct LpReconstructorWorkspace {
   std::vector<std::pair<size_t, size_t>> bigrams;
   lp::LpProblem lp;
   lp::LpSolution solution;
@@ -32,18 +32,27 @@ struct LpReconstructorWorkspace : Reconstructor::Workspace {
 /// integral vertices, so the simplex optimum solves the ILP exactly.
 ///
 /// O(L · E_cand) variables make this slower than ViterbiReconstructor —
-/// the paper's Table 3 shows >85% of mechanism runtime in the LP — so it
-/// is intended for validation and the reconstruction ablation bench.
-class LpReconstructor : public Reconstructor {
+/// the paper's Table 3 shows >85% of mechanism runtime in the LP — so
+/// the collector never runs it. It is the reference solver: tests check
+/// ViterbiReconstructor against it, and the reconstruction ablation
+/// bench times the two side by side.
+class LpReconstructor {
  public:
   LpReconstructor() = default;
   explicit LpReconstructor(lp::SimplexSolver::Options options)
       : solver_(options) {}
 
-  std::unique_ptr<Workspace> NewWorkspace() const override;
+  /// Writes the optimal region sequence (length traj_len) into `out`, or
+  /// fails with FailedPrecondition when no feasible sequence exists over
+  /// the candidate set. Uses only `ws` as scratch; `out` is resized and
+  /// its allocation reused.
+  Status ReconstructInto(const ReconstructionProblem& problem,
+                         LpReconstructorWorkspace& ws,
+                         region::RegionTrajectory& out) const;
 
-  Status ReconstructInto(const ReconstructionProblem& problem, Workspace& ws,
-                         region::RegionTrajectory& out) const override;
+  /// Convenience wrapper: fresh workspace, result by value.
+  StatusOr<region::RegionTrajectory> Reconstruct(
+      const ReconstructionProblem& problem) const;
 
  private:
   lp::SimplexSolver solver_;

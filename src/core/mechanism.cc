@@ -53,34 +53,14 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   mech.poi_reconstructor_ = std::make_unique<PoiReconstructor>(
       mech.decomp_.get(), mech.reachability_.get(),
       mech.reachability_table_.get(), config.poi);
-  if (config.use_lp_reconstruction) {
-    mech.reconstructor_ = std::make_unique<LpReconstructor>();
-  } else {
-    mech.reconstructor_ = std::make_unique<ViterbiReconstructor>();
-  }
   mech.preprocessing_seconds_ = preprocessing.ElapsedSeconds();
   return mech;
 }
 
 CollectorPipeline NGramMechanism::pipeline() const {
   return CollectorPipeline(decomp_.get(), distance_.get(), graph_.get(),
-                           perturber_.get(), reconstructor_.get(),
-                           poi_reconstructor_.get(), config_.mbr_expand_km);
-}
-
-StatusOr<region::RegionTrajectory> NGramMechanism::PerturbRegions(
-    const region::RegionTrajectory& tau, Rng& rng,
-    StageBreakdown* stages) const {
-  const CollectorPipeline pipe = pipeline();
-  PipelineWorkspace ws;
-  Stopwatch watch;
-  PerturbedNgramSet z;
-  TRAJLDP_RETURN_NOT_OK(pipe.PerturbInto(tau, rng, ws.sampler, z));
-  if (stages != nullptr) stages->perturb_seconds += watch.ElapsedSeconds();
-  region::RegionTrajectory out;
-  TRAJLDP_RETURN_NOT_OK(
-      pipe.ReconstructRegionsInto(tau.size(), z, ws, out, stages));
-  return out;
+                           perturber_.get(), poi_reconstructor_.get(),
+                           config_.mbr_expand_km);
 }
 
 StatusOr<FullRelease> NGramMechanism::ReleaseFromRegions(

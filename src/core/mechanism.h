@@ -6,11 +6,9 @@
 #include "common/rng.h"
 #include "common/status_or.h"
 #include "core/collector_pipeline.h"
-#include "core/lp_reconstructor.h"
 #include "core/ngram_domain.h"
 #include "core/ngram_perturber.h"
 #include "core/poi_reconstructor.h"
-#include "core/viterbi_reconstructor.h"
 #include "model/poi_database.h"
 #include "model/reachability.h"
 #include "region/decomposition.h"
@@ -44,8 +42,6 @@ struct NGramConfig {
   /// O(P²) preprocessing + 2·P² bytes — docs/POI_SAMPLING.md has the
   /// full cost formula).
   bool precompute_poi_reachability = false;
-  /// Solve the reconstruction via the paper's LP instead of the exact DP.
-  bool use_lp_reconstruction = false;
   /// Optional padding of the R_mbr candidate rectangle, in km.
   double mbr_expand_km = 0.0;
   /// EM quality sensitivity Δd_w. 0 (default) = the strict value
@@ -82,12 +78,6 @@ class NGramMechanism {
   StatusOr<model::Trajectory> Perturb(const model::Trajectory& input,
                                       Rng& rng,
                                       StageBreakdown* stages = nullptr) const;
-
-  /// Region-level pipeline only (perturb + optimal reconstruction),
-  /// exposed for tests and diagnostics.
-  StatusOr<region::RegionTrajectory> PerturbRegions(
-      const region::RegionTrajectory& tau, Rng& rng,
-      StageBreakdown* stages = nullptr) const;
 
   /// Full collector-side pipeline for an already region-converted
   /// trajectory: n-gram perturbation → R_mbr candidate selection →
@@ -141,7 +131,6 @@ class NGramMechanism {
   std::unique_ptr<model::Reachability> reachability_;
   std::unique_ptr<ReachabilityTable> reachability_table_;
   std::unique_ptr<PoiReconstructor> poi_reconstructor_;
-  std::unique_ptr<Reconstructor> reconstructor_;
   double preprocessing_seconds_ = 0.0;
 };
 

@@ -238,7 +238,7 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
     // bit-for-bit, and rejection-mode consumers never see guided draws.
     Rng guided_rng = rng.Substream(kGuidedStream);
     if (BuildGuidedDp(slots, ws)) {
-      for (int attempt = 0; attempt < config_.guided_attempts; ++attempt) {
+      for (int attempt = 0; attempt < kGuidedAttempts; ++attempt) {
         ++result.attempts;
         if (SampleGuided(slots, ws, guided_rng, &pois, &times)) {
           result.trajectory = MakeTrajectory(pois, times);

@@ -59,6 +59,12 @@ class PoiReconstructor {
   /// policy choice (and the guided→rejection fallback replays exactly).
   static constexpr uint64_t kGuidedStream = 0x677569646564ULL;  // "guided"
 
+  /// Whole-trajectory guided proposals before the guided policy falls
+  /// back to the legacy rejection loop (it must never silently give up:
+  /// a world the guided proposal handles badly still gets the full
+  /// γ-retry + smoothing treatment, on the rejection stream).
+  static constexpr int kGuidedAttempts = 64;
+
   /// Per-position sampling bounds, hoisted out of the γ-retry loop: the
   /// region a position draws from never changes across attempts, so its
   /// POI list and timestep interval are resolved once per trajectory.
@@ -100,11 +106,6 @@ class PoiReconstructor {
     /// mechanism draw-for-draw; kGuided is the accelerated policy with
     /// identical output distribution (see PoiPolicy).
     PoiPolicy policy = PoiPolicy::kRejection;
-    /// Whole-trajectory guided proposals before the guided policy falls
-    /// back to the legacy rejection loop (it must never silently give
-    /// up: a world the guided proposal handles badly still gets the
-    /// full γ-retry + smoothing treatment, on the rejection stream).
-    int guided_attempts = 64;
   };
 
   /// All pointees must outlive this object. `table` may be null — the

@@ -36,7 +36,6 @@ Status ReconstructionProblem::Reset(
     }
   }
 
-  distance_ = distance;
   graph_ = graph;
   traj_len_ = traj_len;
   candidates_.assign(candidates.begin(), candidates.end());
@@ -59,14 +58,6 @@ Status ReconstructionProblem::Reset(
     }
   }
   return Status::Ok();
-}
-
-StatusOr<region::RegionTrajectory> Reconstructor::Reconstruct(
-    const ReconstructionProblem& problem) const {
-  const std::unique_ptr<Workspace> ws = NewWorkspace();
-  region::RegionTrajectory out;
-  TRAJLDP_RETURN_NOT_OK(ReconstructInto(problem, *ws, out));
-  return out;
 }
 
 double ReconstructionProblem::Multiplicity(size_t i) const {

@@ -1,7 +1,6 @@
 #ifndef TRAJLDP_CORE_RECONSTRUCTION_H_
 #define TRAJLDP_CORE_RECONSTRUCTION_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -98,47 +97,11 @@ class ReconstructionProblem {
   bool Feasible(size_t c1, size_t c2) const;
 
  private:
-  const region::RegionDistance* distance_ = nullptr;
   const region::RegionGraph* graph_ = nullptr;
   size_t traj_len_ = 0;
   std::vector<region::RegionId> candidates_;
   /// Row-major [traj_len][candidates] region errors.
   std::vector<double> node_error_;
-};
-
-/// \brief Interface of region-level reconstructors (DP and LP).
-///
-/// Solvers expose an allocation-conscious entry point: NewWorkspace()
-/// creates solver-specific scratch (DP tables, LP tableaus, ...) and
-/// ReconstructInto() solves using only that scratch, so a batch pipeline
-/// keeps one workspace per worker thread and the per-user hot loop is
-/// allocation-free at steady state. Reconstruct() is the convenience
-/// wrapper used by tests and single-shot callers.
-class Reconstructor {
- public:
-  /// Opaque per-thread solver scratch. Obtain from NewWorkspace() of the
-  /// SAME solver that will consume it; workspaces are not interchangeable
-  /// across solver types.
-  struct Workspace {
-    virtual ~Workspace() = default;
-  };
-
-  virtual ~Reconstructor() = default;
-
-  /// Creates scratch for ReconstructInto. Never null.
-  virtual std::unique_ptr<Workspace> NewWorkspace() const = 0;
-
-  /// Writes the optimal region sequence (length traj_len) into `out`, or
-  /// fails with FailedPrecondition when no feasible sequence exists over
-  /// the candidate set (InvalidArgument when `ws` came from a different
-  /// solver type). `out` is resized; its allocation is reused.
-  virtual Status ReconstructInto(const ReconstructionProblem& problem,
-                                 Workspace& ws,
-                                 region::RegionTrajectory& out) const = 0;
-
-  /// Convenience wrapper: fresh workspace, result by value.
-  StatusOr<region::RegionTrajectory> Reconstruct(
-      const ReconstructionProblem& problem) const;
 };
 
 }  // namespace trajldp::core

@@ -10,19 +10,9 @@ namespace trajldp::core {
 
 using region::RegionId;
 
-std::unique_ptr<Reconstructor::Workspace> ViterbiReconstructor::NewWorkspace()
-    const {
-  return std::make_unique<ViterbiWorkspace>();
-}
-
 Status ViterbiReconstructor::ReconstructInto(
-    const ReconstructionProblem& problem, Workspace& ws,
-    region::RegionTrajectory& out) const {
-  auto* w = dynamic_cast<ViterbiWorkspace*>(&ws);
-  if (w == nullptr) {
-    return Status::InvalidArgument(
-        "workspace was not created by ViterbiReconstructor::NewWorkspace");
-  }
+    const ReconstructionProblem& problem, ViterbiWorkspace& ws,
+    region::RegionTrajectory& out) {
   const size_t len = problem.traj_len();
   const auto& candidates = problem.candidates();
   const size_t num_cand = candidates.size();
@@ -47,24 +37,24 @@ Status ViterbiReconstructor::ReconstructInto(
   for (size_t u = 0; u < num_cand; ++u) {
     max_edges += problem.graph().Neighbors(candidates[u]).size();
   }
-  w->arena.Reset(AlignedArena::BytesFor<int32_t>(num_regions) +
+  ws.arena.Reset(AlignedArena::BytesFor<int32_t>(num_regions) +
                  2 * AlignedArena::BytesFor<double>(num_cand) +
                  AlignedArena::BytesFor<int32_t>(len * num_cand) +
                  AlignedArena::BytesFor<uint32_t>(num_cand + 1) +
                  AlignedArena::BytesFor<uint32_t>(num_cand) +
                  AlignedArena::BytesFor<int32_t>(max_edges));
   // cand_index[region] = candidate index, or −1 when not a candidate.
-  int32_t* cand_index = w->arena.Carve<int32_t>(num_regions);
+  int32_t* cand_index = ws.arena.Carve<int32_t>(num_regions);
   // dp[c] / next[c]: cheapest feasible prefix cost ending at candidate c.
-  double* dp = w->arena.Carve<double>(num_cand);
-  double* next = w->arena.Carve<double>(num_cand);
+  double* dp = ws.arena.Carve<double>(num_cand);
+  double* next = ws.arena.Carve<double>(num_cand);
   // Flattened [traj_len][candidates] back-pointers. No fill: every entry
   // the backtrack can read (rows 1..len−1) is written unconditionally in
   // the layer loop below.
-  int32_t* parent = w->arena.Carve<int32_t>(len * num_cand);
-  uint32_t* in_offsets = w->arena.Carve<uint32_t>(num_cand + 1);
-  uint32_t* in_cursor = w->arena.Carve<uint32_t>(num_cand);
-  int32_t* in_adj = w->arena.Carve<int32_t>(max_edges);
+  int32_t* parent = ws.arena.Carve<int32_t>(len * num_cand);
+  uint32_t* in_offsets = ws.arena.Carve<uint32_t>(num_cand + 1);
+  uint32_t* in_cursor = ws.arena.Carve<uint32_t>(num_cand);
+  int32_t* in_adj = ws.arena.Carve<int32_t>(max_edges);
 
   // Map region id → candidate index for adjacency-driven transitions.
   std::fill_n(cand_index, num_regions, int32_t{-1});
@@ -159,6 +149,14 @@ Status ViterbiReconstructor::ReconstructInto(
     if (i > 0) cur = static_cast<size_t>(parent[i * num_cand + cur]);
   }
   return Status::Ok();
+}
+
+StatusOr<region::RegionTrajectory> ViterbiReconstructor::Reconstruct(
+    const ReconstructionProblem& problem) {
+  ViterbiWorkspace ws;
+  region::RegionTrajectory out;
+  TRAJLDP_RETURN_NOT_OK(ReconstructInto(problem, ws, out));
+  return out;
 }
 
 }  // namespace trajldp::core

@@ -1,10 +1,8 @@
 #ifndef TRAJLDP_CORE_VITERBI_RECONSTRUCTOR_H_
 #define TRAJLDP_CORE_VITERBI_RECONSTRUCTOR_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "common/aligned_arena.h"
+#include "common/status_or.h"
 #include "core/reconstruction.h"
 
 namespace trajldp::core {
@@ -18,7 +16,7 @@ namespace trajldp::core {
 /// the CSR walk never false-share. The arena grows to the largest
 /// (traj_len, candidates, regions, edges) seen and is then reused
 /// allocation-free.
-struct ViterbiWorkspace : Reconstructor::Workspace {
+struct ViterbiWorkspace {
   AlignedArena arena;
 };
 
@@ -33,16 +31,26 @@ struct ViterbiWorkspace : Reconstructor::Workspace {
 /// O(L · E_cand) time, where E_cand is the number of feasible candidate
 /// bigrams.
 ///
-/// This is the production default; LpReconstructor solves the same
-/// problem through the paper's LP formulation and is verified to agree.
-class ViterbiReconstructor : public Reconstructor {
+/// This is the collector's solver: CollectorPipeline calls it for every
+/// user. LpReconstructor solves the same problem through the paper's LP
+/// formulation and serves as the reference that tests and the
+/// reconstruction ablation bench compare it against.
+class ViterbiReconstructor {
  public:
-  ViterbiReconstructor() = default;
+  /// Writes the optimal region sequence (length traj_len) into `out`, or
+  /// fails with FailedPrecondition when no feasible sequence exists over
+  /// the candidate set. Uses only `ws` as scratch, so a batch pipeline
+  /// keeps one workspace per worker thread and the per-user hot loop is
+  /// allocation-free at steady state. `out` is resized; its allocation
+  /// is reused.
+  static Status ReconstructInto(const ReconstructionProblem& problem,
+                                ViterbiWorkspace& ws,
+                                region::RegionTrajectory& out);
 
-  std::unique_ptr<Workspace> NewWorkspace() const override;
-
-  Status ReconstructInto(const ReconstructionProblem& problem, Workspace& ws,
-                         region::RegionTrajectory& out) const override;
+  /// Convenience wrapper for tests and single-shot callers: fresh
+  /// workspace, result by value.
+  static StatusOr<region::RegionTrajectory> Reconstruct(
+      const ReconstructionProblem& problem);
 };
 
 }  // namespace trajldp::core

@@ -517,8 +517,7 @@ Status IngestServer::HandleFrame(ReactorState& rs, Conn* conn,
     TRAJLDP_RETURN_NOT_OK(JournalAppend(stream_id, seq, frame));
   }
 
-  return TryPushAndAck(rs, conn, std::move(frame), stream_id, seq,
-                       journal_.has_value());
+  return TryPushAndAck(rs, conn, std::move(frame), stream_id, seq);
 }
 
 Status IngestServer::JournalAppend(uint64_t stream_id, uint64_t seq,
@@ -554,7 +553,7 @@ Status IngestServer::JournalAppend(uint64_t stream_id, uint64_t seq,
 
 Status IngestServer::TryPushAndAck(ReactorState& rs, Conn* conn,
                                    std::string frame, uint64_t stream_id,
-                                   uint64_t seq, bool already_journaled) {
+                                   uint64_t seq) {
   bool accepted = false;
   TRAJLDP_RETURN_NOT_OK(
       collector_->TryPushEncoded(frame, &accepted, stream_id, seq));
@@ -567,7 +566,6 @@ Status IngestServer::TryPushAndAck(ReactorState& rs, Conn* conn,
     conn->held_frame = std::move(frame);
     conn->held_stream = stream_id;
     conn->held_seq = seq;
-    conn->held_journaled = already_journaled;
     rs.blocked.push_back(conn->state.fd());
     (void)rs.reactor.Mod(conn->state.fd(), InterestOf(*conn));
     if (!rs.retry_armed) {
@@ -621,11 +619,9 @@ void IngestServer::OnRetryTimer(size_t reactor_index) {
     std::string frame = std::move(conn->held_frame);
     const uint64_t stream_id = conn->held_stream;
     const uint64_t seq = conn->held_seq;
-    const bool journaled = conn->held_journaled;
     conn->held_frame.clear();
     conn->paused = false;
-    Status status = TryPushAndAck(rs, conn, std::move(frame), stream_id, seq,
-                                  journaled);
+    Status status = TryPushAndAck(rs, conn, std::move(frame), stream_id, seq);
     if (!status.ok()) {
       FailConn(rs, conn, std::move(status));
       continue;

@@ -264,14 +264,13 @@ class IngestServer {
     explicit Conn(Socket socket) : state(std::move(socket)) {}
     ConnectionState state;
     size_t reactor = 0;
-    /// Backpressure: EPOLLIN interest dropped, one frame parked.
+    /// Backpressure: EPOLLIN interest dropped, one frame parked. A
+    /// parked frame was journaled before its first push; the retry must
+    /// never append it again.
     bool paused = false;
     std::string held_frame;
     uint64_t held_stream = 0;
     uint64_t held_seq = 0;
-    /// The held frame was journaled before the push bounced; the retry
-    /// must never append it again.
-    bool held_journaled = false;
     /// Clean FIN seen; the conn lingers only to flush pending acks.
     bool read_done = false;
   };
@@ -310,8 +309,7 @@ class IngestServer {
   /// Non-blocking push + post-push bookkeeping (hwm, ack); pauses the
   /// conn when the queue is full.
   Status TryPushAndAck(ReactorState& rs, Conn* conn, std::string frame,
-                       uint64_t stream_id, uint64_t seq,
-                       bool already_journaled);
+                       uint64_t stream_id, uint64_t seq);
   Status QueueAck(ReactorState& rs, Conn* conn, uint64_t ack_seq);
   /// Appends under journal_mu_, times the fsync the append caused (if
   /// any), then runs the size-triggered compaction as needed.

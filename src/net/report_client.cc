@@ -1,6 +1,7 @@
 #include "net/report_client.h"
 
 #include <algorithm>
+#include <random>
 #include <thread>
 #include <utility>
 
@@ -13,7 +14,7 @@ ReportClient::ReportClient(std::string host, uint16_t port, Options options)
     : host_(std::move(host)),
       port_(port),
       options_(options),
-      backoff_rng_(options.backoff_seed) {}
+      backoff_rng_(std::random_device{}()) {}
 
 void ReportClient::CountBackoffSleep(std::chrono::milliseconds sleep) {
   ++backoff_sleeps_;
@@ -54,7 +55,7 @@ Status ReportClient::EnsureConnected() {
 
 Status ReportClient::SendBatch(std::span<const io::WireReport> batch) {
   io::WireEncodeOptions encode;
-  encode.include_user_range = options_.include_user_range;
+  encode.include_user_range = true;
   if (options_.enable_sequencing) {
     encode.sequence =
         io::WireSequence{.stream_id = options_.stream_id, .seq = next_seq_};

@@ -43,8 +43,10 @@ namespace trajldp::net {
 ///   every sent frame has been acked durable. Close() does NOT flush.
 ///
 /// Reconnect backoff uses decorrelated jitter — sleep_k drawn uniformly
-/// from [base, 3·sleep_{k−1}], capped — so a fleet of devices redialing
-/// a restarted collector spreads out instead of thundering-herding.
+/// from [base, 3·sleep_{k−1}], capped — and every client seeds its
+/// jitter from std::random_device, so a fleet of devices redialing a
+/// restarted collector spreads out instead of thundering-herding. Sleep
+/// times need no reproducibility: no release depends on them.
 class ReportClient {
  public:
   struct Options {
@@ -55,11 +57,6 @@ class ReportClient {
     /// max_backoff. Always within [initial_backoff, max_backoff].
     std::chrono::milliseconds initial_backoff{25};
     std::chrono::milliseconds max_backoff{3000};
-    /// Seed for the jitter draws; fleets give each device its own.
-    uint64_t backoff_seed = 0;
-    /// Encode SendBatch frames with the batch user-range field so a
-    /// range-validating shard server can route/reject them cheaply.
-    bool include_user_range = true;
     /// Sequenced mode: stamp every SendBatch frame with (stream_id,
     /// consecutive seq starting at 1) and run the in-flight window /
     /// ack protocol. Requires an acking server (IngestServer acks every
@@ -81,9 +78,11 @@ class ReportClient {
   ReportClient(const ReportClient&) = delete;
   ReportClient& operator=(const ReportClient&) = delete;
 
-  /// Encodes `batch` (per Options) and sends it as one frame. In
-  /// sequenced mode the frame enters the in-flight window and may be
-  /// acked only later — call Flush() for the delivery barrier.
+  /// Encodes `batch` with the batch user-range field, so a
+  /// range-validating shard server can route or reject it cheaply, and
+  /// sends it as one frame. In sequenced mode the frame enters the
+  /// in-flight window and may be acked only later — call Flush() for the
+  /// delivery barrier.
   Status SendBatch(std::span<const io::WireReport> batch);
 
   /// Sends one already-encoded frame, reconnecting/retrying per

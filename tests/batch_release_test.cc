@@ -459,55 +459,5 @@ TEST_F(BatchReleaseFixture, ReleaseAllFullRequiresMechanism) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(LpBatchE2eTest, LpMechanismBatchMatchesSequential) {
-  // The LP validation solver must batch deterministically too — its
-  // workspace (bigram list, LP, simplex tableau) is the scratch most
-  // likely to leak state between users.
-  auto db = MakeGridWorld();
-  ASSERT_TRUE(db.ok());
-  const auto time = *model::TimeDomain::Create(10);
-  NGramConfig config;
-  config.n = 2;
-  config.epsilon = 5.0;
-  config.decomposition.grid_size = 2;
-  config.decomposition.coarse_grids = {1};
-  config.decomposition.base_interval_minutes = 360;
-  config.decomposition.merge.kappa = 1;
-  config.reachability.speed_kmh = 8.0;
-  config.reachability.reference_gap_minutes = 60;
-  config.use_lp_reconstruction = true;
-  auto mech = NGramMechanism::Build(&*db, time, config);
-  ASSERT_TRUE(mech.ok()) << mech.status();
-
-  const auto num_regions =
-      static_cast<uint64_t>(mech->decomposition().num_regions());
-  Rng users_rng(23);
-  std::vector<region::RegionTrajectory> users(8);
-  for (auto& tau : users) {
-    const size_t len = 2 + static_cast<size_t>(users_rng.UniformUint64(2));
-    for (size_t i = 0; i < len; ++i) {
-      tau.push_back(
-          static_cast<region::RegionId>(users_rng.UniformUint64(num_regions)));
-    }
-  }
-
-  const uint64_t seed = 99;
-  std::vector<FullRelease> expected;
-  const Rng root(seed);
-  for (size_t i = 0; i < users.size(); ++i) {
-    Rng user_rng = root.Substream(i);
-    auto release = mech->ReleaseFromRegions(users[i], user_rng);
-    ASSERT_TRUE(release.ok()) << "user " << i << ": " << release.status();
-    expected.push_back(std::move(*release));
-  }
-
-  for (const size_t threads : {1u, 4u}) {
-    BatchReleaseEngine engine(&*mech, BatchReleaseEngine::Config{threads});
-    auto batched = engine.ReleaseAllFull(users, seed);
-    ASSERT_TRUE(batched.ok()) << "threads " << threads;
-    ExpectIdenticalReleases(*batched, expected);
-  }
-}
-
 }  // namespace
 }  // namespace trajldp::core

@@ -117,62 +117,18 @@ TEST_F(MechanismFixture, WorksForAllNgramLengths) {
   }
 }
 
-TEST_F(MechanismFixture, LpReconstructionModeWorksEndToEnd) {
-  NGramConfig config = DefaultConfig();
-  config.use_lp_reconstruction = true;
-  auto mech = NGramMechanism::Build(db_.get(), time_, config);
-  ASSERT_TRUE(mech.ok());
-  const auto input = MakeTrajectory({{0, 54}, {7, 60}, {14, 72}});
-  Rng rng(31);
-  auto output = mech->Perturb(input, rng);
-  ASSERT_TRUE(output.ok()) << output.status();
-  EXPECT_EQ(output->size(), input.size());
-  EXPECT_TRUE(output->Validate(time_).ok());
-}
-
-TEST_F(MechanismFixture, LpAndDpAgreeOnReconstructionObjective) {
-  // With identical seeds the perturbed n-grams are identical, so the two
-  // reconstructors solve the same problem; their outputs must score the
-  // same region-level objective (they may differ on exact ties).
-  NGramConfig dp_config = DefaultConfig();
-  NGramConfig lp_config = DefaultConfig();
-  lp_config.use_lp_reconstruction = true;
-  auto dp = NGramMechanism::Build(db_.get(), time_, dp_config);
-  auto lp = NGramMechanism::Build(db_.get(), time_, lp_config);
-  ASSERT_TRUE(dp.ok());
-  ASSERT_TRUE(lp.ok());
-
-  auto tau = dp->decomposition().ToRegionTrajectory(
-      MakeTrajectory({{0, 54}, {7, 60}, {14, 72}}));
-  ASSERT_TRUE(tau.ok());
-
-  Rng rng1(37), rng2(37);
-  auto dp_regions = dp->PerturbRegions(*tau, rng1);
-  auto lp_regions = lp->PerturbRegions(*tau, rng2);
-  ASSERT_TRUE(dp_regions.ok());
-  ASSERT_TRUE(lp_regions.ok());
-
-  // Compare total distance to the (identical) perturbed evidence by
-  // recomputing through a shared distance: both must visit regions the
-  // graph connects and have the same length.
-  ASSERT_EQ(dp_regions->size(), lp_regions->size());
-  for (size_t i = 0; i + 1 < dp_regions->size(); ++i) {
-    EXPECT_TRUE(dp->graph().HasEdge((*dp_regions)[i], (*dp_regions)[i + 1]));
-    EXPECT_TRUE(lp->graph().HasEdge((*lp_regions)[i], (*lp_regions)[i + 1]));
-  }
-}
-
 TEST_F(MechanismFixture, RegionLevelPipelineRespectsGraph) {
   auto mech = NGramMechanism::Build(db_.get(), time_, DefaultConfig());
   ASSERT_TRUE(mech.ok());
   auto tau = mech->decomposition().ToRegionTrajectory(SampleInput());
   ASSERT_TRUE(tau.ok());
   Rng rng(41);
-  auto regions = mech->PerturbRegions(*tau, rng);
-  ASSERT_TRUE(regions.ok());
-  ASSERT_EQ(regions->size(), tau->size());
-  for (size_t i = 0; i + 1 < regions->size(); ++i) {
-    EXPECT_TRUE(mech->graph().HasEdge((*regions)[i], (*regions)[i + 1]));
+  auto release = mech->ReleaseFromRegions(*tau, rng);
+  ASSERT_TRUE(release.ok()) << release.status();
+  const region::RegionTrajectory& regions = release->regions;
+  ASSERT_EQ(regions.size(), tau->size());
+  for (size_t i = 0; i + 1 < regions.size(); ++i) {
+    EXPECT_TRUE(mech->graph().HasEdge(regions[i], regions[i + 1]));
   }
 }
 

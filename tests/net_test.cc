@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -484,6 +485,30 @@ TEST_F(NetFixture, ClientCountsBackoffSleepsAndConnectFailures) {
   EXPECT_GE(client.backoff_sleep_total_ms(),
             client.backoff_sleeps() *
                 static_cast<uint64_t>(options.initial_backoff.count()));
+}
+
+// A fleet redialing a dead or restarting server must spread out: clients
+// seeded alike would draw the same sleeps and redial in lockstep.
+TEST_F(NetFixture, ClientsDrawIndependentBackoffJitter) {
+  uint16_t dead_port = 0;
+  {
+    auto listener = TcpListen(ListenOptions{});
+    ASSERT_TRUE(listener.ok());
+    dead_port = *LocalPort(*listener);
+  }
+  ReportClient::Options options;
+  options.max_attempts = 6;
+  options.initial_backoff = std::chrono::milliseconds(1);
+  options.max_backoff = std::chrono::milliseconds(5);
+  std::set<uint64_t> totals;
+  for (int c = 0; c < 8; ++c) {
+    ReportClient client("127.0.0.1", dead_port, options);
+    ASSERT_FALSE(
+        client.SendFrame(*io::EncodeReportBatch(io::ReportBatch{})).ok());
+    ASSERT_EQ(client.backoff_sleeps(), 5u);
+    totals.insert(client.backoff_sleep_total_ms());
+  }
+  EXPECT_GT(totals.size(), 1u) << "all 8 clients slept the same total";
 }
 
 TEST_F(NetFixture, ClientReconnectsAcrossServerRestart) {

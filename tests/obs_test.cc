@@ -7,11 +7,13 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/socket.h"
 #include "obs/admin_server.h"
 #include "obs/exposition.h"
@@ -393,6 +395,118 @@ TEST(AdminServerTest, AnswersARequestThatArrivesWithItsFin) {
   char reply[4096] = {};
   ASSERT_GT(::recv(second->fd(), reply, sizeof(reply) - 1, MSG_WAITALL), 0);
   EXPECT_NE(std::string(reply).find("HTTP/1.1 200 OK"), std::string::npos);
+  (*server)->Shutdown();
+}
+
+// The answer the admin server owes `request` when it arrives whole and
+// is then half-closed: its status code, or 0 for no bytes at all.
+int ExpectedStatus(const std::string& request) {
+  if (request.size() > 8192) return 400;
+  if (request.find("\r\n\r\n") == std::string::npos) return 0;
+  const std::string line = request.substr(0, request.find("\r\n"));
+  const size_t method_end = line.find(' ');
+  if (method_end == std::string::npos) return 400;
+  const size_t path_end = line.find(' ', method_end + 1);
+  if (path_end == std::string::npos) return 400;
+  if (line.substr(0, method_end) != "GET") return 405;
+  const std::string path =
+      line.substr(method_end + 1, path_end - method_end - 1);
+  return path == "/metrics" || path == "/statusz" ? 200 : 404;
+}
+
+// One seeded mutation of a valid scrape: flip a bit, truncate, delete a
+// byte, insert a delimiter-like byte, or pad a header so the request
+// lands within two bytes of the 8 KiB cap.
+std::string MutateRequest(Rng& rng, std::string request) {
+  switch (rng.UniformUint64(5)) {
+    case 0: {
+      const size_t at = rng.UniformUint64(request.size());
+      const int bit = static_cast<int>(rng.UniformUint64(8));
+      request[at] = static_cast<char>(request[at] ^ (1 << bit));
+      break;
+    }
+    case 1:
+      request.resize(rng.UniformUint64(request.size()));
+      break;
+    case 2:
+      request.erase(rng.UniformUint64(request.size()), 1);
+      break;
+    case 3: {
+      static constexpr char kBytes[] = {'\r', '\n', ' ', '\0', 'x', '/'};
+      const size_t at = rng.UniformUint64(request.size() + 1);
+      request.insert(at, 1, kBytes[rng.UniformUint64(sizeof(kBytes))]);
+      break;
+    }
+    default: {
+      const size_t target = 8190 + rng.UniformUint64(5);
+      const size_t fill = target - request.size() - 9;  // "X-Pad: " + CRLF
+      request.insert(request.find("\r\n") + 2,
+                     "X-Pad: " + std::string(fill, 'a') + "\r\n");
+      break;
+    }
+  }
+  return request;
+}
+
+TEST(AdminServerMutationTest, AnswersEveryMutatedScrapeLikeTheReference) {
+  Registry registry;
+  registry.GetCounter("mutation_total", "mutation counter")->Add(7);
+  auto server = AdminServer::Start(&registry);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  const uint16_t port = (*server)->port();
+  const std::string scrapes[] = {
+      "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n",
+      "GET /statusz HTTP/1.1\r\nHost: t\r\n\r\n"};
+  size_t mismatches = 0;
+  std::set<int> seen;
+  for (uint64_t c = 0; c < 1000; ++c) {
+    Rng rng = Rng(20261017).Substream(c);
+    const std::string request =
+        MutateRequest(rng, scrapes[rng.UniformUint64(2)]);
+    const int expected = ExpectedStatus(request);
+    seen.insert(expected);
+
+    auto socket = net::TcpConnect("127.0.0.1", port);
+    ASSERT_TRUE(socket.ok()) << socket.status();
+    ASSERT_TRUE(net::SendAll(*socket, request).ok());
+    socket->ShutdownWrite();
+    std::string response;
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(socket->fd(), buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      response.append(buf, static_cast<size_t>(n));
+    }
+
+    // Exactly one response, whose Content-Length is its body's length.
+    bool ok = false;
+    if (expected == 0) {
+      ok = response.empty();
+    } else {
+      const std::string status_line =
+          "HTTP/1.1 " + std::to_string(expected) + " ";
+      const std::string length_field = "\r\nContent-Length: ";
+      const size_t head_end = response.find("\r\n\r\n");
+      const size_t length_at = response.find(length_field);
+      if (response.starts_with(status_line) &&
+          head_end != std::string::npos && length_at < head_end) {
+        const size_t length =
+            std::stoul(response.substr(length_at + length_field.size()));
+        ok = response.size() == head_end + 4 + length;
+      }
+    }
+    if (!ok && ++mismatches <= 3) {
+      ADD_FAILURE() << "case " << c << ": expected " << expected << " for a "
+                    << request.size() << "-byte request, got '"
+                    << response.substr(0, 64) << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of 1000 cases";
+  // Every branch of the reference ran.
+  EXPECT_EQ(seen, (std::set<int>{0, 200, 400, 404, 405}));
+
+  const std::string clean = HttpRequest(port, scrapes[0]);
+  EXPECT_NE(clean.find("\nmutation_total 7\n"), std::string::npos);
   (*server)->Shutdown();
 }
 

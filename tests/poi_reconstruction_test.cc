@@ -334,11 +334,10 @@ TEST_F(GuidedFallbackTest, FallsBackToRejectionLoopBitExactly) {
 
 TEST_F(GuidedFallbackTest, FeasibleInputNeverFallsBackEvenWhenStarved) {
   // The reverse order is feasible, and the guided proposal enforces
-  // exactly the binding constraints up front — so even a single guided
-  // attempt must succeed with a feasible, unsmoothed trajectory.
+  // exactly the binding constraints up front — so the first guided
+  // attempt must already succeed with a feasible, unsmoothed trajectory.
   PoiReconstructor::Config guided_config;
   guided_config.policy = PoiPolicy::kGuided;
-  guided_config.guided_attempts = 1;
   PoiReconstructor guided(decomp_.get(), reach_.get(), table_.get(),
                           guided_config);
   region::RegionTrajectory regions{
@@ -348,6 +347,7 @@ TEST_F(GuidedFallbackTest, FeasibleInputNeverFallsBackEvenWhenStarved) {
     Rng rng(seed);
     auto g = guided.Reconstruct(regions, rng);
     ASSERT_TRUE(g.ok()) << g.status();
+    EXPECT_EQ(g->attempts, 1u) << "seed " << seed;
     EXPECT_FALSE(g->guided_fallback);
     EXPECT_FALSE(g->smoothed);
     EXPECT_TRUE(reach_->CheckFeasible(g->trajectory).ok()) << "seed "

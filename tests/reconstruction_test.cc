@@ -325,10 +325,14 @@ INSTANTIATE_TEST_SUITE_P(RandomWorlds, SolverEquivalenceSweep,
 TEST_F(ReconstructionFixture, ResetReusesBuffersAcrossProblems) {
   // One problem object re-initialised per user must behave exactly like a
   // freshly created one — this is the invariant the per-thread pipeline
-  // workspaces rely on.
+  // workspaces rely on. The same holds for each solver's workspace; the
+  // LP's (bigram list, LP, simplex tableau) is the scratch most likely to
+  // leak state between problems.
   ReconstructionProblem reused;
   ViterbiReconstructor viterbi;
-  auto ws = viterbi.NewWorkspace();
+  ViterbiWorkspace viterbi_ws;
+  LpReconstructor lp;
+  LpReconstructorWorkspace lp_ws;
   for (uint64_t seed : {81, 82, 83, 84}) {
     const size_t len = 2 + static_cast<size_t>(seed % 3);
     const auto z = RandomZ(len, seed);
@@ -347,27 +351,16 @@ TEST_F(ReconstructionFixture, ResetReusesBuffersAcrossProblems) {
     }
     region::RegionTrajectory via_workspace;
     ASSERT_TRUE(
-        viterbi.ReconstructInto(reused, *ws, via_workspace).ok());
+        viterbi.ReconstructInto(reused, viterbi_ws, via_workspace).ok());
     auto via_fresh = viterbi.Reconstruct(*fresh);
     ASSERT_TRUE(via_fresh.ok());
     EXPECT_EQ(via_workspace, *via_fresh) << "seed " << seed;
-  }
-}
 
-TEST_F(ReconstructionFixture, MismatchedWorkspaceTypeIsRejected) {
-  const auto z = RandomZ(3, 91);
-  auto problem = ReconstructionProblem::Create(distance_.get(), graph_.get(),
-                                               3, z, AllRegions());
-  ASSERT_TRUE(problem.ok());
-  ViterbiReconstructor viterbi;
-  LpReconstructor lp;
-  auto viterbi_ws = viterbi.NewWorkspace();
-  auto lp_ws = lp.NewWorkspace();
-  region::RegionTrajectory out;
-  EXPECT_EQ(viterbi.ReconstructInto(*problem, *lp_ws, out).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(lp.ReconstructInto(*problem, *viterbi_ws, out).code(),
-            StatusCode::kInvalidArgument);
+    ASSERT_TRUE(lp.ReconstructInto(reused, lp_ws, via_workspace).ok());
+    auto lp_fresh = lp.Reconstruct(*fresh);
+    ASSERT_TRUE(lp_fresh.ok());
+    EXPECT_EQ(via_workspace, *lp_fresh) << "LP, seed " << seed;
+  }
 }
 
 TEST_F(ReconstructionFixture, ReconstructedSequencesAreFeasible) {
