@@ -138,7 +138,12 @@ int main() {
                   same ? "yes" : "NO"});
   }
   table.Print(std::cout);
-  std::cout << "\n" << equal << "/" << instances
+  std::cout << "\n" << mech->graph().num_regions() << " regions, "
+            << mech->graph().num_poi_sets()
+            << " POI sets: the DP relaxes one "
+            << (mech->graph().relax_by_set() ? "POI set" : "edge")
+            << " at a time.\n";
+  std::cout << equal << "/" << instances
             << " instances solved to identical objectives.\n";
 
   bench::PrintShapeCheck(

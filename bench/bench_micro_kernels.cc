@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <utility>
+
 #include "common/rng.h"
 #include "core/ngram_domain.h"
 #include "core/ngram_perturber.h"
@@ -62,15 +65,20 @@ struct RegionWorld {
   std::unique_ptr<core::NgramDomain> domain;
 };
 
-RegionWorld& SharedWorld(size_t num_pois) {
-  static std::map<size_t, RegionWorld> cache;
-  auto it = cache.find(num_pois);
+// A lattice of `num_pois` always-open POIs. With hourly intervals each
+// POI set recurs once per hour; with one all-day interval, as in the
+// collector benchmark's lattice, every set is a single region.
+RegionWorld& SharedWorld(size_t num_pois, int base_interval_minutes = 60) {
+  static std::map<std::pair<size_t, int>, RegionWorld> cache;
+  const std::pair key{num_pois, base_interval_minutes};
+  auto it = cache.find(key);
   if (it != cache.end()) return it->second;
   RegionWorld world;
   auto db = bench::MakeLatticeDb(num_pois);
   world.db = std::make_unique<model::PoiDatabase>(std::move(*db));
   const auto time = *model::TimeDomain::Create(10);
   region::DecompositionConfig config;
+  config.base_interval_minutes = base_interval_minutes;
   auto decomp = region::StcDecomposition::Build(world.db.get(), time, config);
   world.decomp =
       std::make_unique<region::StcDecomposition>(std::move(*decomp));
@@ -81,7 +89,7 @@ RegionWorld& SharedWorld(size_t num_pois) {
       region::RegionGraph::Build(*world.decomp, reach));
   world.domain = std::make_unique<core::NgramDomain>(world.graph.get(),
                                                      world.distance.get());
-  return cache.emplace(num_pois, std::move(world)).first->second;
+  return cache.emplace(key, std::move(world)).first->second;
 }
 
 void BM_RegionDistanceFanOut(benchmark::State& state) {
@@ -109,11 +117,13 @@ void BM_BigramSample(benchmark::State& state) {
 BENCHMARK(BM_BigramSample)->Arg(500)->Arg(2000);
 
 // The §5.5 DP solve on realistic inputs: a trajectory's perturbed
-// n-gram set over the full region set as candidates — the layered
-// argmin relaxation plus CSR build that the SoA arena layout exists
-// for.
+// n-gram set over the full region set as candidates. The graph picks the
+// relaxation (counter relax_by_set): the hourly lattices relax one POI
+// set at a time, the all-day one builds the candidate in-adjacency and
+// relaxes one edge at a time.
 void BM_ViterbiReconstruct(benchmark::State& state) {
-  RegionWorld& world = SharedWorld(static_cast<size_t>(state.range(0)));
+  RegionWorld& world = SharedWorld(static_cast<size_t>(state.range(0)),
+                                   static_cast<int>(state.range(1)));
   const size_t num_regions = world.decomp->num_regions();
   constexpr size_t kLen = 5;
   core::NgramPerturber perturber(world.domain.get(),
@@ -151,8 +161,12 @@ void BM_ViterbiReconstruct(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["relax_by_set"] = world.graph->relax_by_set() ? 1 : 0;
 }
-BENCHMARK(BM_ViterbiReconstruct)->Arg(500)->Arg(2000);
+BENCHMARK(BM_ViterbiReconstruct)
+    ->Args({500, 60})
+    ->Args({2000, 60})
+    ->Args({2000, 1440});
 
 void BM_SpatialIndexRadius(benchmark::State& state) {
   RegionWorld& world = SharedWorld(2000);

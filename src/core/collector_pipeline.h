@@ -61,8 +61,8 @@ struct UserRelease {
 
 /// \brief Per-thread scratch for the full release pipeline: sampler
 /// buffers, candidate/observed region lists, the reconstruction problem
-/// (error tables), the Viterbi solver's DP tables and in-adjacency, and
-/// POI sampling buffers. One per worker thread (see BatchReleaseEngine
+/// (error tables), the Viterbi solver's DP tables and relaxation scratch,
+/// and POI sampling buffers. One per worker thread (see BatchReleaseEngine
 /// and StreamingCollector); with a workspace the per-user hot loop
 /// allocates only the released outputs themselves once buffers reach
 /// steady state. Workspaces never change results: runs with and without

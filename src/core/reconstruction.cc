@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace trajldp::core {
 
@@ -25,8 +26,10 @@ Status ReconstructionProblem::Reset(
   if (candidates.empty()) {
     return Status::InvalidArgument("candidate region set is empty");
   }
-  if (!std::is_sorted(candidates.begin(), candidates.end())) {
-    return Status::InvalidArgument("candidates must be sorted");
+  if (std::adjacent_find(candidates.begin(), candidates.end(),
+                         std::greater_equal<>()) != candidates.end()) {
+    return Status::InvalidArgument(
+        "candidates must be sorted ascending without duplicates");
   }
   for (const PerturbedNgram& gram : z) {
     if (gram.a < 1 || gram.b > traj_len || gram.a > gram.b ||

@@ -45,7 +45,7 @@ class ReconstructionProblem {
   /// \param traj_len    L, the trajectory length (≥ 1).
   /// \param z           the perturbed n-grams.
   /// \param candidates  candidate regions (e.g. MbrCandidateRegions output);
-  ///                    must be sorted ascending.
+  ///                    must be sorted ascending, without duplicates.
   static StatusOr<ReconstructionProblem> Create(
       const region::RegionDistance* distance,
       const region::RegionGraph* graph, size_t traj_len,

@@ -9,13 +9,13 @@ namespace trajldp::core {
 
 /// \brief Per-thread scratch of ViterbiReconstructor, laid out as
 /// structure-of-arrays in one cache-line-aligned arena: the DP cost
-/// rows, the flattened parent table, the region→candidate index map,
-/// and the candidate-restricted in-adjacency (CSR, 32-bit offsets). One
-/// arena Reset per solve replaces seven per-vector capacity checks, and
-/// every array starts on its own cache line so dp/next streaming and
-/// the CSR walk never false-share. The arena grows to the largest
-/// (traj_len, candidates, regions, edges) seen and is then reused
-/// allocation-free.
+/// rows, the flattened parent table, the region→candidate index map, and
+/// the relaxation's own tables — the candidate-restricted in-adjacency
+/// (CSR, 32-bit offsets) when the graph relaxes one edge at a time, or
+/// the per-set member lists, prefix bounds and predecessor lists when it
+/// relaxes one POI set at a time. One arena Reset per solve, and every
+/// array starts on its own cache line. The arena grows to the largest
+/// problem seen and is then reused allocation-free.
 struct ViterbiWorkspace {
   AlignedArena arena;
 };
@@ -27,9 +27,18 @@ struct ViterbiWorkspace {
 /// DAG whose layer-i nodes are candidate regions and whose edges are the
 /// feasible bigrams. The objective decomposes into per-position node costs
 /// with multiplicities {1, 2, ..., 2, 1} (see ReconstructionProblem), so a
-/// Viterbi pass over the layers finds the global optimum in
-/// O(L · E_cand) time, where E_cand is the number of feasible candidate
-/// bigrams.
+/// Viterbi pass over the layers finds the global optimum.
+///
+/// A layer takes, for every candidate, the cheapest predecessor, with
+/// the lowest candidate index among equal costs. The graph picks one of
+/// two exact ways to find it (RegionGraph::relax_by_set()):
+///  * per edge: an in-adjacency over the candidates, built per user, and
+///    one compare per candidate bigram, O(L · E_cand);
+///  * per POI set: u → c is an edge iff begin(u) + g_t < end(c) and
+///    u's POI set is a spatial predecessor of c's, so c's best
+///    predecessor is the (dp, index) minimum over one prefix minimum per
+///    predecessor set, O(L · Σ_c |predecessor sets of c|).
+/// Both return the same sequence on every problem.
 ///
 /// This is the collector's solver: CollectorPipeline calls it for every
 /// user. LpReconstructor solves the same problem through the paper's LP

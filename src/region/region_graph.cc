@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 namespace trajldp::region {
@@ -39,13 +41,6 @@ bool SpatiallyReachable(const model::PoiDatabase& db, const StcRegion& a,
   return true;
 }
 
-// Time order: can a visit in `a` precede a visit in `b` by at least one
-// timestep? Interval boundaries are multiples of g_t by construction.
-bool TimeOrderFeasible(const StcRegion& a, const StcRegion& b,
-                       int granularity_minutes) {
-  return b.time.end > a.time.begin + granularity_minutes;
-}
-
 }  // namespace
 
 RegionGraph RegionGraph::Build(const StcDecomposition& decomp,
@@ -56,12 +51,33 @@ RegionGraph RegionGraph::Build(const StcDecomposition& decomp,
   const double theta = reach.ReferenceThetaKm();
   const bool unconstrained = reach.unconstrained();
 
+  // Flat interval bounds, so neither the time-order test below nor the
+  // solver loads a StcRegion per pair. The distinct ends are indexed from
+  // the ends themselves (24 on an hourly city, 1 on an all-day lattice).
+  std::vector<int> end(n);
+  graph.begin_.resize(n);
+  for (RegionId r = 0; r < n; ++r) {
+    graph.begin_[r] = decomp.region(r).time.begin;
+    end[r] = decomp.region(r).time.end;
+  }
+  graph.ends_ = end;
+  std::sort(graph.ends_.begin(), graph.ends_.end());
+  graph.ends_.erase(std::unique(graph.ends_.begin(), graph.ends_.end()),
+                    graph.ends_.end());
+  graph.end_index_.resize(n);
+  for (RegionId r = 0; r < n; ++r) {
+    graph.end_index_[r] = static_cast<uint32_t>(
+        std::lower_bound(graph.ends_.begin(), graph.ends_.end(), end[r]) -
+        graph.ends_.begin());
+  }
+
   // The spatial test reads nothing but the two POI sets (bounds are the
   // sets' bounding boxes), and regions share sets: a POI open for many
   // hours lands in one region per interval with the same members. Number
   // the distinct sets by exact content and test each ordered pair of
   // sets at most once.
-  std::vector<uint32_t> poi_set(n);
+  std::vector<uint32_t>& poi_set = graph.poi_set_;
+  poi_set.resize(n);
   size_t num_sets = 0;
   {
     std::map<std::vector<model::PoiId>, uint32_t> ids;
@@ -76,15 +92,17 @@ RegionGraph RegionGraph::Build(const StcDecomposition& decomp,
   std::vector<uint8_t> spatial(unconstrained ? 0 : num_sets * num_sets,
                                kUntested);
   auto is_edge = [&](RegionId a, RegionId b) {
-    const StcRegion& ra = decomp.region(a);
-    const StcRegion& rb = decomp.region(b);
-    if (!TimeOrderFeasible(ra, rb, g_t)) return false;
+    // Time order: can a visit in `a` precede a visit in `b` by at least
+    // one timestep? Interval boundaries are multiples of g_t.
+    if (end[b] <= graph.begin_[a] + g_t) return false;
     // a == b: the zero self-distance always satisfies θ.
     if (unconstrained || a == b) return true;
     uint8_t& known = spatial[poi_set[a] * num_sets + poi_set[b]];
     if (known == kUntested) {
-      known = SpatiallyReachable(decomp.db(), ra, rb, theta) ? kReachable
-                                                             : kUnreachable;
+      known = SpatiallyReachable(decomp.db(), decomp.region(a),
+                                 decomp.region(b), theta)
+                  ? kReachable
+                  : kUnreachable;
     }
     return known == kReachable;
   };
@@ -105,6 +123,42 @@ RegionGraph RegionGraph::Build(const StcDecomposition& decomp,
       if (is_edge(a, b)) graph.targets_[next++] = b;
     }
   }
+
+  // Each set's regions by (interval begin, id), one run per set.
+  graph.members_.resize(n);
+  std::iota(graph.members_.begin(), graph.members_.end(), RegionId{0});
+  std::ranges::stable_sort(graph.members_, {}, [&](RegionId r) {
+    return std::pair(poi_set[r], graph.begin_[r]);
+  });
+  graph.member_offsets_.assign(num_sets + 1, 0);
+  for (RegionId r = 0; r < n; ++r) ++graph.member_offsets_[poi_set[r] + 1];
+  std::partial_sum(graph.member_offsets_.begin(), graph.member_offsets_.end(),
+                   graph.member_offsets_.begin());
+
+  // Each set's spatial predecessors, read from the memo. A pair of
+  // distinct sets the memo never tested has no time-ordered region pair,
+  // so leaving it out changes no edge.
+  graph.predecessor_offsets_.assign(num_sets + 1, 0);
+  for (size_t s = 0; s < num_sets; ++s) {
+    for (size_t from = 0; from < num_sets; ++from) {
+      if (unconstrained || from == s ||
+          spatial[from * num_sets + s] == kReachable) {
+        graph.predecessors_.push_back(static_cast<uint32_t>(from));
+      }
+    }
+    graph.predecessor_offsets_[s + 1] =
+        static_cast<uint32_t>(graph.predecessors_.size());
+  }
+
+  // The relaxation's cost test: per layer the set path scans one entry
+  // per region and predecessor set plus a sets × distinct-ends table,
+  // the edge path one entry per edge. A set entry measured up to twice
+  // an edge's cost (docs/PERF.md §Set relaxation).
+  size_t set_entries = num_sets * graph.ends_.size();
+  for (size_t s = 0; s < num_sets; ++s) {
+    set_entries += graph.SetMembers(s).size() * graph.SetPredecessors(s).size();
+  }
+  graph.relax_by_set_ = 2 * set_entries < graph.num_edges();
   return graph;
 }
 

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/lp_reconstructor.h"
 #include "core/ngram_perturber.h"
 #include "core/reconstruction.h"
 #include "core/viterbi_reconstructor.h"
+#include "geo/latlon.h"
+#include "model/opening_hours.h"
 #include "region/region_index.h"
 #include "test_world.h"
 
@@ -403,6 +407,10 @@ TEST_F(ReconstructionFixture, CreateValidatesInputs) {
   EXPECT_FALSE(ReconstructionProblem::Create(distance_.get(), graph_.get(),
                                              3, z, {3, 1, 2})
                    .ok());
+  // Duplicate candidates.
+  EXPECT_FALSE(ReconstructionProblem::Create(distance_.get(), graph_.get(),
+                                             3, z, {1, 2, 2})
+                   .ok());
   // Empty candidates.
   EXPECT_FALSE(ReconstructionProblem::Create(distance_.get(), graph_.get(),
                                              3, z, {})
@@ -470,6 +478,208 @@ TEST_F(ReconstructionFixture, InfeasibleCandidateSetReported) {
   LpReconstructor lp;
   auto lp_result = lp.Reconstruct(*problem);
   EXPECT_FALSE(lp_result.ok());
+}
+
+// ---------- The set relaxation against the per-edge relaxation ----------
+
+// The per-edge relaxation, kept as the reference for the per-set one the
+// way RegionGraphTest keeps the all-pairs loop: in-neighbours from the
+// graph's CSR in ascending candidate order and a strict < pull, so the
+// lowest index wins among equal costs. `ties` counts the returned path's
+// parents that had an equal-cost rival, the ones that tie-break decided.
+StatusOr<region::RegionTrajectory> ReferencePull(
+    const ReconstructionProblem& problem, size_t& ties) {
+  const size_t len = problem.traj_len();
+  const auto& candidates = problem.candidates();
+  const size_t num_cand = candidates.size();
+  std::vector<std::vector<size_t>> in(num_cand);
+  for (size_t u = 0; u < num_cand; ++u) {
+    for (region::RegionId nb : problem.graph().Neighbors(candidates[u])) {
+      const auto it = std::ranges::lower_bound(candidates, nb);
+      if (it != candidates.end() && *it == nb) {
+        in[static_cast<size_t>(it - candidates.begin())].push_back(u);
+      }
+    }
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dp(num_cand);
+  for (size_t c = 0; c < num_cand; ++c) {
+    dp[c] = problem.Multiplicity(0) * problem.NodeError(0, c);
+  }
+  std::vector<std::vector<int64_t>> parent(len, std::vector<int64_t>(num_cand));
+  std::vector<std::vector<bool>> tied(len, std::vector<bool>(num_cand));
+  for (size_t i = 1; i < len; ++i) {
+    std::vector<double> next(num_cand, kInf);
+    for (size_t c = 0; c < num_cand; ++c) {
+      double best = kInf;
+      int64_t arg = -1;
+      for (size_t u : in[c]) {
+        if (dp[u] < best) {
+          best = dp[u];
+          arg = static_cast<int64_t>(u);
+          tied[i][c] = false;
+        } else if (arg >= 0 && dp[u] == best) {
+          tied[i][c] = true;
+        }
+      }
+      parent[i][c] = arg;
+      if (arg >= 0) {
+        next[c] = best + problem.Multiplicity(i) * problem.NodeError(i, c);
+      }
+    }
+    dp = std::move(next);
+  }
+  size_t cur = num_cand;
+  double best = kInf;
+  for (size_t c = 0; c < num_cand; ++c) {
+    if (dp[c] < best) {
+      best = dp[c];
+      cur = c;
+    }
+  }
+  if (cur == num_cand) {
+    return Status::FailedPrecondition("no feasible region sequence");
+  }
+  region::RegionTrajectory out(len);
+  for (size_t i = len; i-- > 0;) {
+    out[i] = candidates[cur];
+    if (i > 0) {
+      ties += tied[i][cur] ? 1 : 0;
+      cur = static_cast<size_t>(parent[i][cur]);
+    }
+  }
+  return out;
+}
+
+// The grid world plus one POI 50 km away, open 9:00–10:00 only: one
+// region that no other region reaches and that reaches no other region.
+StatusOr<model::PoiDatabase> GridWorldWithIsolatedPoi() {
+  auto grid = MakeGridWorld();
+  if (!grid.ok()) return grid.status();
+  std::vector<model::Poi> pois = grid->pois();
+  model::Poi far = pois.back();
+  far.name = "isolated";
+  far.location = geo::OffsetKm(far.location, 50.0, 50.0);
+  far.hours = model::OpeningHours::Daily(9 * 60, 10 * 60);
+  pois.push_back(std::move(far));
+  return model::PoiDatabase::Create(std::move(pois),
+                                    trajldp::testing::MakeSmallTree());
+}
+
+TEST(ViterbiRelaxationTest, BothRelaxationsReturnTheSameSequence) {
+  struct World {
+    std::string name;
+    StatusOr<model::PoiDatabase> db;
+    int base_interval_minutes;
+    model::ReachabilityConfig reach;
+  };
+  const model::ReachabilityConfig walk{8.0, 60};
+  World worlds[] = {
+      // The fixture grid: 360-minute intervals, all POIs open all day.
+      {"fixture", MakeGridWorld(), 360, walk},
+      // Sets recur, distinct sets share members.
+      {"staggered", trajldp::testing::MakeStaggeredWorld(), 60, {8.0, 30}},
+      // A regular lattice: equal distances give equal-cost ties. With
+      // hourly intervals its sets recur; all day, every set is one region.
+      {"hourly lattice", MakeGridWorld(), 60, walk},
+      {"all-day lattice", MakeGridWorld(), 1440, walk},
+      {"isolated region", GridWorldWithIsolatedPoi(), 60, walk},
+      // Base interval = g_t: no region has a self-edge.
+      {"ten-minute", MakeGridWorld(), 10, walk},
+      {"unconstrained", MakeGridWorld(), 60,
+       model::ReachabilityConfig::Unconstrained()},
+  };
+  const auto time = *model::TimeDomain::Create(10);
+  // One workspace across every problem and both relaxations.
+  ViterbiWorkspace ws;
+  ReconstructionProblem problem;
+  region::RegionTrajectory out;
+  bool ran_by_set = false, ran_by_edge = false, infeasible = false,
+       isolated = false;
+  size_t ties = 0, solves = 0;
+  for (World& world : worlds) {
+    SCOPED_TRACE(world.name);
+    ASSERT_TRUE(world.db.ok());
+    region::DecompositionConfig config;
+    config.grid_size = 2;
+    config.coarse_grids = {1};
+    config.base_interval_minutes = world.base_interval_minutes;
+    config.merge.kappa = 1;
+    auto decomp = region::StcDecomposition::Build(&*world.db, time, config);
+    ASSERT_TRUE(decomp.ok());
+    region::RegionDistance distance(&*decomp);
+    const auto graph = region::RegionGraph::Build(*decomp, world.reach);
+    (graph.relax_by_set() ? ran_by_set : ran_by_edge) = true;
+    NgramDomain domain(&graph, &distance);
+    NgramPerturber perturber(&domain, NgramPerturber::Config{2, 2.0});
+    const size_t num_regions = decomp->num_regions();
+    // A region with a self-edge that no other region reaches.
+    std::vector<bool> reached(num_regions);
+    for (region::RegionId u = 0; u < num_regions; ++u) {
+      for (region::RegionId v : graph.Neighbors(u)) {
+        if (v != u) reached[v] = true;
+      }
+    }
+    for (region::RegionId r = 0; r < num_regions; ++r) {
+      isolated |= !reached[r] && graph.HasEdge(r, r);
+    }
+    std::vector<region::RegionId> all(num_regions);
+    for (size_t r = 0; r < num_regions; ++r) {
+      all[r] = static_cast<region::RegionId>(r);
+    }
+    Rng rng(num_regions);
+    for (size_t len = 1; len <= 8; ++len) {
+      for (int draw = 0; draw < 2; ++draw) {
+        region::RegionTrajectory tau;
+        for (size_t i = 0; i < len; ++i) {
+          tau.push_back(
+              static_cast<region::RegionId>(rng.UniformUint64(num_regions)));
+        }
+        auto z = perturber.Perturb(tau, rng);
+        ASSERT_TRUE(z.ok()) << z.status();
+        std::vector<region::RegionId> observed;
+        for (const auto& gram : *z) {
+          observed.insert(observed.end(), gram.regions.begin(),
+                          gram.regions.end());
+        }
+        std::ranges::sort(observed);
+        observed.erase(std::unique(observed.begin(), observed.end()),
+                       observed.end());
+        // The regions sharing the first observed region's interval: with
+        // base interval = g_t they admit no path longer than one.
+        std::vector<region::RegionId> one_interval;
+        for (region::RegionId r : all) {
+          if (decomp->region(r).time == decomp->region(observed[0]).time) {
+            one_interval.push_back(r);
+          }
+        }
+        for (const auto& candidates :
+             {region::MbrCandidateRegions(*decomp, observed), all,
+              one_interval}) {
+          ASSERT_TRUE(
+              problem.Reset(&distance, &graph, len, *z, candidates).ok());
+          const Status status =
+              ViterbiReconstructor::ReconstructInto(problem, ws, out);
+          const auto expected = ReferencePull(problem, ties);
+          ASSERT_EQ(status.code(), expected.status().code())
+              << "len " << len << ", " << candidates.size()
+              << " candidates: " << status;
+          if (status.ok()) {
+            EXPECT_EQ(out, *expected)
+                << "len " << len << ", " << candidates.size()
+                << " candidates";
+          }
+          infeasible |= status.code() == StatusCode::kFailedPrecondition;
+          ++solves;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(ran_by_set);
+  EXPECT_TRUE(ran_by_edge);
+  EXPECT_TRUE(infeasible);
+  EXPECT_TRUE(isolated);
+  EXPECT_GT(ties, 0u) << "over " << solves << " solves";
 }
 
 }  // namespace

@@ -19,6 +19,7 @@ namespace {
 
 using trajldp::testing::GridWorldOptions;
 using trajldp::testing::MakeGridWorld;
+using trajldp::testing::MakeStaggeredWorld;
 
 model::TimeDomain TenMinutes() {
   return *model::TimeDomain::Create(10);
@@ -422,30 +423,6 @@ bool HasUndecidedEqualSizePair(const StcDecomposition& decomp,
   return false;
 }
 
-// An 8 × 8 lattice, 0.5 km apart, in which the two POIs of each
-// (cell, category) group keep staggered 12-hour days: POI (r, c) opens at
-// ((r + c) % 4) × 3 h. A group's set is {p}, then {p, q}, then {q} as the
-// day goes on, so sets recur across hours, distinct sets share members,
-// and distinct sets of equal size lie both within and beyond θ.
-StatusOr<model::PoiDatabase> StaggeredWorld() {
-  hierarchy::CategoryTree tree = trajldp::testing::MakeSmallTree();
-  const std::vector<hierarchy::CategoryId> leaves = tree.Leaves();
-  const geo::LatLon origin{40.7000, -74.0000};
-  std::vector<model::Poi> pois;
-  for (int r = 0; r < 8; ++r) {
-    for (int c = 0; c < 8; ++c) {
-      model::Poi poi;
-      poi.name = "poi_" + std::to_string(pois.size());
-      poi.location = geo::OffsetKm(origin, c * 0.5, r * 0.5);
-      poi.category = leaves[c % 2];
-      const int open = ((r + c) % 4) * 180;
-      poi.hours = model::OpeningHours::Daily(open, open + 720);
-      pois.push_back(std::move(poi));
-    }
-  }
-  return model::PoiDatabase::Create(std::move(pois), std::move(tree));
-}
-
 TEST(RegionGraphTest, BuildEqualsAllPairsReference) {
   // Every POI of the default lattice is open all day, so each POI set
   // recurs once per hour.
@@ -453,7 +430,7 @@ TEST(RegionGraphTest, BuildEqualsAllPairsReference) {
   auto lattice = MakeGridWorld();
   ASSERT_TRUE(lattice.ok());
   worlds.emplace_back("lattice", std::move(*lattice));
-  auto staggered = StaggeredWorld();
+  auto staggered = MakeStaggeredWorld();
   ASSERT_TRUE(staggered.ok());
   worlds.emplace_back("staggered", std::move(*staggered));
   const model::ReachabilityConfig reaches[] = {
@@ -483,6 +460,41 @@ TEST(RegionGraphTest, BuildEqualsAllPairsReference) {
           edges += expected[a].size();
         }
         EXPECT_EQ(graph.num_edges(), edges);
+        // The factored test the set relaxation reads equals the edge
+        // list on every pair, and each set lists exactly its regions in
+        // (begin, id) order.
+        const int g_t = decomp->time().granularity_minutes();
+        for (RegionId a = 0; a < expected.size(); ++a) {
+          std::vector<bool> factored(expected.size());
+          for (RegionId b = 0; b < expected.size(); ++b) {
+            factored[b] =
+                graph.interval_begin(a) + g_t < graph.interval_end(b) &&
+                std::ranges::binary_search(
+                    graph.SetPredecessors(graph.poi_set(b)),
+                    graph.poi_set(a));
+          }
+          std::vector<bool> listed(expected.size());
+          for (RegionId b : expected[a]) listed[b] = true;
+          EXPECT_EQ(factored, listed) << "region " << a;
+        }
+        ASSERT_EQ(graph.num_poi_sets(), sets.size());
+        std::vector<std::vector<RegionId>> members(graph.num_poi_sets());
+        for (RegionId r = 0; r < expected.size(); ++r) {
+          const StcRegion& region = decomp->region(r);
+          EXPECT_EQ(graph.interval_begin(r), region.time.begin);
+          EXPECT_EQ(graph.interval_end(r), region.time.end);
+          EXPECT_EQ(region.pois,
+                    decomp->region(graph.SetMembers(graph.poi_set(r))[0])
+                        .pois);
+          members[graph.poi_set(r)].push_back(r);
+        }
+        for (uint32_t s = 0; s < graph.num_poi_sets(); ++s) {
+          std::ranges::stable_sort(members[s], {}, [&](RegionId r) {
+            return decomp->region(r).time.begin;
+          });
+          EXPECT_TRUE(std::ranges::equal(graph.SetMembers(s), members[s]))
+              << "set " << s;
+        }
         if (!reach.unconstrained()) {
           undecided_equal_size |= HasUndecidedEqualSizePair(*decomp, reach);
         }

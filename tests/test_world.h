@@ -72,6 +72,30 @@ inline StatusOr<model::PoiDatabase> MakeGridWorld(
   return model::PoiDatabase::Create(std::move(pois), std::move(tree));
 }
 
+// An 8 × 8 lattice, 0.5 km apart, in which the two POIs of each
+// (cell, category) group keep staggered 12-hour days: POI (r, c) opens at
+// ((r + c) % 4) × 3 h. A group's set is {p}, then {p, q}, then {q} as the
+// day goes on, so sets recur across hours, distinct sets share members,
+// and distinct sets of equal size lie both within and beyond θ.
+inline StatusOr<model::PoiDatabase> MakeStaggeredWorld() {
+  hierarchy::CategoryTree tree = MakeSmallTree();
+  const std::vector<hierarchy::CategoryId> leaves = tree.Leaves();
+  const geo::LatLon origin{40.7000, -74.0000};
+  std::vector<model::Poi> pois;
+  for (int r = 0; r < 8; ++r) {
+    for (int c = 0; c < 8; ++c) {
+      model::Poi poi;
+      poi.name = "poi_" + std::to_string(pois.size());
+      poi.location = geo::OffsetKm(origin, c * 0.5, r * 0.5);
+      poi.category = leaves[c % 2];
+      const int open = ((r + c) % 4) * 180;
+      poi.hours = model::OpeningHours::Daily(open, open + 720);
+      pois.push_back(std::move(poi));
+    }
+  }
+  return model::PoiDatabase::Create(std::move(pois), std::move(tree));
+}
+
 // Convenience: a trajectory from (poi, timestep) pairs.
 inline model::Trajectory MakeTrajectory(
     std::vector<std::pair<model::PoiId, model::Timestep>> points) {
