@@ -106,11 +106,6 @@ int Run(size_t num_users, const std::string& json_path) {
   // per-cell cliques, the regime the paper's city decompositions sit in.
   config.reachability.speed_kmh = 8.0;
   config.reachability.reference_gap_minutes = 30;
-  // One world serves both POI policies: the rejection mechanism builds
-  // the reachability table too, so the guided-vs-rejection comparison is
-  // policy-only (the table never changes a rejection accept/reject bit —
-  // see core/reachability.h).
-  config.precompute_poi_reachability = true;
   core::NGramConfig guided_config = config;
   guided_config.poi.policy = core::PoiPolicy::kGuided;
   // Every mechanism a run takes is built here, before any stopwatch

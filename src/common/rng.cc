@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -67,28 +65,6 @@ void Rng::Jump() {
   state_[1] = s1;
   state_[2] = s2;
   state_[3] = s3;
-}
-
-uint64_t Rng::NextUint64() {
-  // xoshiro256++ step.
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformUint64(uint64_t bound) {
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = (0ULL - bound) % bound;
-  for (;;) {
-    uint64_t r = NextUint64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

@@ -38,10 +38,43 @@ class Rng {
   void Jump();
 
   /// Next raw 64 random bits.
-  uint64_t NextUint64();
+  uint64_t NextUint64() {
+    // xoshiro256++ step.
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
+
+  /// The raw words UniformUint64(bound) rejects are exactly those below
+  /// this threshold, 2^64 mod bound: what is left is a whole number of
+  /// copies of [0, bound), so the final `% bound` is unbiased. `bound`
+  /// must be positive. Hoisting it out of a loop saves one 64-bit
+  /// division per draw.
+  static uint64_t RejectionThreshold(uint64_t bound) {
+    return (0ULL - bound) % bound;
+  }
+
+  /// The next raw word at or above `threshold`, drawing as many words as
+  /// that takes: the accept step of UniformUint64. A caller that needs
+  /// only some of its draws reduced still advances the generator exactly
+  /// as UniformUint64 would.
+  uint64_t NextAccepted(uint64_t threshold) {
+    for (;;) {
+      const uint64_t r = NextUint64();
+      if (r >= threshold) return r;
+    }
+  }
 
   /// Uniform integer in [0, bound). `bound` must be positive.
-  uint64_t UniformUint64(uint64_t bound);
+  uint64_t UniformUint64(uint64_t bound) {
+    return NextAccepted(RejectionThreshold(bound)) % bound;
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
@@ -79,6 +112,10 @@ class Rng {
   std::vector<size_t> Permutation(size_t n);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
 };
 

@@ -115,6 +115,7 @@ Status CollectorPipeline::ReconstructReportInto(size_t trajectory_len,
   out.trajectory = std::move(poi->trajectory);
   out.poi_attempts = poi->attempts;
   out.smoothed = poi->smoothed;
+  out.smoothing_cause = poi->smoothing_cause;
   if (stages != nullptr) {
     const double seconds = watch.ElapsedSeconds();
     stages->other_seconds += seconds;

@@ -48,6 +48,8 @@ struct FullRelease {
   size_t poi_attempts = 0;
   /// True when the §5.6 time-smoothing fallback produced the output.
   bool smoothed = false;
+  /// Why it did; kNone exactly when `smoothed` is false.
+  SmoothingCause smoothing_cause = SmoothingCause::kNone;
 
   bool operator==(const FullRelease&) const = default;
 };

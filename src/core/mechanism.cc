@@ -39,12 +39,10 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
       NgramPerturber::Config{config.n, config.epsilon});
   mech.reachability_ = std::make_unique<model::Reachability>(
       db, time, config.reachability);
-  // The POI reachability table is public pre-processing like the rest of
-  // Build(): O(P²) haversines once per world, shared read-only across
-  // every collector thread. Gated so rejection-only deployments keep the
-  // seed preprocessing profile bit-for-bit.
-  if (config.poi.policy == PoiPolicy::kGuided ||
-      config.precompute_poi_reachability) {
+  // The guided policy's POI reachability table is public pre-processing
+  // like the rest of Build(): O(P²) haversines once per world, shared
+  // read-only across every collector thread.
+  if (config.poi.policy == PoiPolicy::kGuided) {
     auto table = ReachabilityTable::Build(*db, time, config.reachability);
     if (!table.ok()) return table.status();
     mech.reachability_table_ =

@@ -35,13 +35,6 @@ struct NGramConfig {
   /// sampling policy (rejection vs guided — see PoiPolicy). This is the
   /// one place the policy is chosen.
   PoiReconstructor::Config poi;
-  /// Build the POI-pair reachability table (core::ReachabilityTable) at
-  /// Build() time even when the policy is rejection. The guided
-  /// policy always builds it; rejection-only deployments opt in to get
-  /// table-lookup IsFeasible (bit-identical accept/reject decisions,
-  /// O(P²) preprocessing + 2·P² bytes — docs/POI_SAMPLING.md has the
-  /// full cost formula).
-  bool precompute_poi_reachability = false;
   /// Optional padding of the R_mbr candidate rectangle, in km.
   double mbr_expand_km = 0.0;
   /// EM quality sensitivity Δd_w. 0 (default) = the strict value
@@ -108,8 +101,8 @@ class NGramMechanism {
   const region::RegionDistance& distance() const { return *distance_; }
   const NgramDomain& domain() const { return *domain_; }
   const model::Reachability& reachability() const { return *reachability_; }
-  /// Null unless the guided policy or precompute_poi_reachability asked
-  /// for the table at Build() time.
+  /// The guided policy's POI-pair reachability table; null under the
+  /// rejection policy, whose loop memoises per user instead.
   const ReachabilityTable* reachability_table() const {
     return reachability_table_.get();
   }

@@ -1,6 +1,7 @@
 #include "core/poi_reconstructor.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace trajldp::core {
 
@@ -43,26 +44,145 @@ void PoiReconstructor::SampleCandidate(const std::vector<Slot>& slots,
   for (size_t i = 0; i < slots.size(); ++i) {
     const Slot& slot = slots[i];
     (*pois)[i] = slot.pois[rng.UniformUint64(slot.num_pois)];
-    (*times)[i] = slot.first + static_cast<Timestep>(
-                                   rng.UniformUint64(slot.last - slot.first + 1));
+    (*times)[i] =
+        slot.first + static_cast<Timestep>(rng.UniformUint64(slot.num_times));
   }
 }
 
-bool PoiReconstructor::IsFeasible(const std::vector<PoiId>& pois,
-                                  const std::vector<Timestep>& times) const {
+bool PoiReconstructor::TryAttempt(const std::vector<Slot>& slots, Rng& rng,
+                                  Workspace& ws) const {
+  // Every word is drawn before any is checked: the next attempt starts
+  // after all of them, whatever this one's verdict. The draws run on a
+  // local copy, whose state the compiler can keep in registers (stores
+  // through `words` could alias the caller's).
+  uint64_t* words = ws.words.data();
+  Rng local = rng;
+  for (const Slot& slot : slots) {
+    *words++ = local.NextAccepted(slot.poi_threshold);
+    *words++ = local.NextAccepted(slot.time_threshold);
+  }
+  rng = local;
   const model::TimeDomain& time = decomp_->time();
-  for (size_t i = 0; i < pois.size(); ++i) {
-    if (i > 0 && times[i] <= times[i - 1]) return false;
-    const int minute = time.TimestepToMinute(times[i]);
-    if (!decomp_->db().poi(pois[i]).hours.IsOpenAtMinute(minute)) {
+  const model::PoiDatabase& db = decomp_->db();
+  words = ws.words.data();
+  size_t prev_k = 0;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Slot& slot = slots[i];
+    const Timestep t =
+        slot.first + static_cast<Timestep>(words[2 * i + 1] % slot.num_times);
+    if (i > 0 && t <= ws.times[i - 1]) return false;
+    const size_t k = words[2 * i] % slot.num_pois;
+    const PoiId p = slot.pois[k];
+    if (!db.poi(p).hours.IsOpenAtMinute(time.TimestepToMinute(t))) {
       return false;
     }
-    if (i > 0 && !ReachableBetween(pois[i - 1], pois[i], times[i - 1],
-                                   times[i])) {
+    // Same-day gaps are below |T|, so kUnreachableGap never passes.
+    if (i > 0 && t - ws.times[i - 1] < MinGap(slots, i, prev_k, k, ws)) {
       return false;
     }
+    ws.pois[i] = p;
+    ws.times[i] = t;
+    prev_k = k;
   }
   return true;
+}
+
+void PoiReconstructor::ReplayAttempts(const std::vector<Slot>& slots,
+                                      size_t attempts, Rng& rng) {
+  Rng local = rng;  // kept in registers, as in TryAttempt
+  for (size_t attempt = 0; attempt < attempts; ++attempt) {
+    for (const Slot& slot : slots) {
+      local.NextAccepted(slot.poi_threshold);
+      local.NextAccepted(slot.time_threshold);
+    }
+  }
+  rng = local;
+}
+
+bool PoiReconstructor::HasFeasibleAssignment(const std::vector<Slot>& slots,
+                                             Workspace& ws) const {
+  // E_i(k) = the earliest timestep at which a feasible prefix of slots
+  // 0..i ends at POI k of slot i. θ is nondecreasing in the gap, so the
+  // earliest end at a POI admits every extension a later end there
+  // does, and F is non-empty iff the last layer has a finite entry.
+  // E_i(k) is the first open timestep of slot i's window that is at or
+  // after min_j (E_{i−1}(j) + min_gap(j, k)); min_gap ≥ 1 makes it
+  // strictly later, exactly the loop's checks.
+  constexpr Timestep kNoTime = std::numeric_limits<Timestep>::max();
+  const model::TimeDomain& time = decomp_->time();
+  const model::PoiDatabase& db = decomp_->db();
+  std::vector<Timestep>& earliest = ws.earliest;
+  std::vector<Timestep>& next = ws.next_earliest;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Slot& slot = slots[i];
+    next.assign(slot.num_pois, kNoTime);
+    bool any = false;
+    for (size_t k = 0; k < slot.num_pois; ++k) {
+      Timestep lo = slot.first;
+      if (i > 0) {
+        Timestep reach_at = kNoTime;
+        // Stop once no later POI can move lo below the window's start.
+        for (size_t j = 0; j < slots[i - 1].num_pois && reach_at > lo; ++j) {
+          if (earliest[j] == kNoTime) continue;
+          reach_at = std::min<Timestep>(
+              reach_at, earliest[j] + MinGap(slots, i, j, k, ws));
+        }
+        lo = std::max(lo, reach_at);
+      }
+      const model::OpeningHours& hours = db.poi(slot.pois[k]).hours;
+      for (Timestep t = lo; t <= slot.last; ++t) {
+        if (hours.IsOpenAtMinute(time.TimestepToMinute(t))) {
+          next[k] = t;
+          any = true;
+          break;
+        }
+      }
+      // The last slot only needs one finite entry.
+      if (any && i + 1 == slots.size()) return true;
+    }
+    if (!any) return false;
+    std::swap(earliest, next);
+  }
+  return true;
+}
+
+size_t PoiReconstructor::RejectionLoop(const std::vector<Slot>& slots,
+                                       Rng& rng, Workspace& ws,
+                                       SmoothingCause* cause) const {
+  *cause = SmoothingCause::kNone;
+  ws.pois.resize(slots.size());
+  ws.times.resize(slots.size());
+  ws.words.resize(2 * slots.size());
+  size_t memo_entries = 0;
+  for (size_t i = 1; i < slots.size(); ++i) {
+    memo_entries += slots[i - 1].num_pois * slots[i].num_pois;
+  }
+  ws.min_gaps.assign(memo_entries, 0);
+  // The feasibility DP's pair count: the memo's pairs plus the first
+  // slot's POIs, each paired with one virtual start.
+  const size_t pairs = slots.front().num_pois + memo_entries;
+
+  // The DP runs once the loop has made as many attempts as the DP has
+  // pairs (each far cheaper than an attempt): a user accepted sooner
+  // never pays for it, and none pays more than about double.
+  const size_t gamma = static_cast<size_t>(std::max(config_.gamma, 0));
+  const size_t certify_at = std::min(pairs, gamma);
+  size_t attempt = 0;
+  for (; attempt < certify_at; ++attempt) {
+    if (TryAttempt(slots, rng, ws)) return attempt + 1;
+  }
+  if (!HasFeasibleAssignment(slots, ws)) {
+    // Every remaining attempt would be rejected: only the generator
+    // state they leave behind matters.
+    ReplayAttempts(slots, gamma - attempt, rng);
+    *cause = SmoothingCause::kEmptyFeasibleSet;
+    return gamma;
+  }
+  for (; attempt < gamma; ++attempt) {
+    if (TryAttempt(slots, rng, ws)) return attempt + 1;
+  }
+  *cause = SmoothingCause::kRetryCap;
+  return gamma;
 }
 
 bool PoiReconstructor::BuildGuidedDp(const std::vector<Slot>& slots,
@@ -221,14 +341,25 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
   std::vector<Timestep>& times = ws.times;
 
   // Hoist the per-position sampling bounds: the regions are fixed for the
-  // whole retry loop, so resolve POI lists and timestep intervals once.
+  // whole retry loop, so resolve POI lists, timestep intervals and draw
+  // thresholds once.
   const model::TimeDomain& time = decomp_->time();
   ws.slots.resize(regions.size());
+  size_t memo_offset = 0;
   for (size_t i = 0; i < regions.size(); ++i) {
     const region::StcRegion& r = decomp_->region(regions[i]);
-    ws.slots[i] = {r.pois.data(), r.pois.size(),
-                   time.MinuteToTimestep(r.time.begin),
-                   time.MinuteToTimestep(r.time.end - 1)};
+    Slot& slot = ws.slots[i];
+    slot.pois = r.pois.data();
+    slot.num_pois = r.pois.size();
+    slot.first = time.MinuteToTimestep(r.time.begin);
+    slot.last = time.MinuteToTimestep(r.time.end - 1);
+    slot.num_times = static_cast<uint64_t>(slot.last - slot.first + 1);
+    slot.poi_threshold = Rng::RejectionThreshold(slot.num_pois);
+    slot.time_threshold = Rng::RejectionThreshold(slot.num_times);
+    if (i > 0) {
+      slot.memo_offset = memo_offset;
+      memo_offset += ws.slots[i - 1].num_pois * slot.num_pois;
+    }
   }
   const std::vector<Slot>& slots = ws.slots;
 
@@ -254,13 +385,11 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
     result.guided_fallback = true;
   }
 
-  for (int attempt = 0; attempt < config_.gamma; ++attempt) {
-    ++result.attempts;
-    SampleCandidate(slots, rng, &pois, &times);
-    if (IsFeasible(pois, times)) {
-      result.trajectory = MakeTrajectory(pois, times);
-      return result;
-    }
+  SmoothingCause cause = SmoothingCause::kNone;
+  result.attempts += RejectionLoop(slots, rng, ws, &cause);
+  if (cause == SmoothingCause::kNone) {
+    result.trajectory = MakeTrajectory(pois, times);
+    return result;
   }
 
   // Sampling failed: fix one sequence and smooth its times (§5.6). Sort
@@ -271,6 +400,7 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
   if (!smoothed.ok()) return smoothed.status();
   result.trajectory = MakeTrajectory(pois, *smoothed);
   result.smoothed = true;
+  result.smoothing_cause = cause;
   return result;
 }
 

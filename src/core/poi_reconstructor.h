@@ -43,6 +43,18 @@ enum class PoiPolicy : uint8_t {
   kGuided = 1,
 };
 
+/// \brief Why the §5.6 smoothing fallback produced a release.
+enum class SmoothingCause : uint8_t {
+  /// Not smoothed: a sampled candidate was accepted.
+  kNone = 0,
+  /// The feasible set F is empty: no (POI, timestep) assignment of the
+  /// region sequence meets time order, opening hours and reachability,
+  /// so no number of attempts could have succeeded.
+  kEmptyFeasibleSet = 1,
+  /// F is not empty, but γ attempts missed it.
+  kRetryCap = 2,
+};
+
 /// \brief POI-level trajectory reconstruction (§5.6, Figure 1 step 4).
 ///
 /// Converts an optimal STC region sequence back into a concrete
@@ -52,6 +64,19 @@ enum class PoiPolicy : uint8_t {
 /// When sampling fails — the perturbed region sequence corresponds to no
 /// feasible trajectory — fix one sampled sequence and smooth its
 /// timesteps (TimeSmoother), exactly as the paper prescribes.
+///
+/// The retry loop pays only for what its output depends on, with every
+/// release, attempt count and generator end state equal to the paper
+/// loop's (docs/POI_SAMPLING.md §What an attempt costs):
+///
+///  * an attempt draws its 2L words as SampleCandidate would, then
+///    reduces them modulo their bounds only as far as the feasibility
+///    checks go, reading reachability from a per-user min-gap memo;
+///  * once the loop has spent as many attempts as a forward DP over the
+///    user's (POI, earliest timestep) states costs, the DP decides
+///    whether the feasible set is empty. When it is, the remaining
+///    attempts can only be rejected, so they are replayed as bare
+///    generator steps.
 class PoiReconstructor {
  public:
   /// Substream tag separating guided-policy draws from the collector
@@ -67,24 +92,46 @@ class PoiReconstructor {
 
   /// Per-position sampling bounds, hoisted out of the γ-retry loop: the
   /// region a position draws from never changes across attempts, so its
-  /// POI list and timestep interval are resolved once per trajectory.
+  /// POI list, timestep interval and draw thresholds are resolved once
+  /// per trajectory.
   struct Slot {
     const model::PoiId* pois = nullptr;
     size_t num_pois = 0;
     model::Timestep first = 0;
     model::Timestep last = 0;
+    /// Window width, last − first + 1: the bound of the timestep draw.
+    uint64_t num_times = 0;
+    /// Rng::RejectionThreshold of num_pois and of num_times.
+    uint64_t poi_threshold = 0;
+    uint64_t time_threshold = 0;
+    /// Start of the (previous slot's POI, this slot's POI) block in
+    /// Workspace::min_gaps; unused for the first slot.
+    size_t memo_offset = 0;
   };
 
   /// \brief Per-thread sampling scratch: the candidate (POI, timestep)
   /// buffers every rejection-sampling attempt writes into, the hoisted
-  /// per-position slots, and the guided sampler's time-counting DP
-  /// tables. Reusing one workspace across users makes the γ-retry loop
+  /// per-position slots, the rejection loop's per-user memo and
+  /// feasibility DP, and the guided sampler's time-counting DP tables.
+  /// Reusing one workspace across users makes the γ-retry loop
   /// allocation-free (the output trajectory itself is still allocated —
   /// it is the product).
   struct Workspace {
     std::vector<model::PoiId> pois;
     std::vector<model::Timestep> times;
     std::vector<Slot> slots;
+    /// One attempt's raw words, in draw order: POI then timestep, per
+    /// position.
+    std::vector<uint64_t> words;
+    /// Min-gap memo of the user's consecutive POI pairs: entry
+    /// slots[i].memo_offset + j · slots[i].num_pois + k holds
+    /// model::MinReachableGap between POI j of slot i − 1 and POI k of
+    /// slot i, or 0 until first use. Σ_i |P(r_{i−1})| · |P(r_i)| entries.
+    std::vector<uint16_t> min_gaps;
+    /// Feasibility DP layers: the earliest timestep a feasible prefix can
+    /// end at each POI of the previous and of the current slot.
+    std::vector<model::Timestep> earliest;
+    std::vector<model::Timestep> next_earliest;
     /// Guided DP scratch: one cache-line-aligned block pair per level,
     /// windowed to that level's [first, last] timestep interval instead
     /// of the full |T| grid (levels are sparse in practice — a region
@@ -100,7 +147,10 @@ class PoiReconstructor {
   };
 
   struct Config {
-    /// γ: the retry threshold; 50,000 per §5.6 ("rarely reached").
+    /// γ: the retry threshold; 50,000 per §5.6. The paper calls the cap
+    /// rarely reached, but on the benchmark city 45% of users reach it:
+    /// 37% because their feasible set is empty, 8% with a non-empty one
+    /// (docs/POI_SAMPLING.md).
     int gamma = 50000;
     /// Which sampler runs first. kRejection reproduces the paper's
     /// mechanism draw-for-draw; kGuided is the accelerated policy with
@@ -127,6 +177,9 @@ class PoiReconstructor {
     /// outputs guarantee time order and reachability but may leave a
     /// region's time interval (§5.6).
     bool smoothed = false;
+    /// Why the output was smoothed; kNone exactly when `smoothed` is
+    /// false.
+    SmoothingCause smoothing_cause = SmoothingCause::kNone;
     /// True when the guided policy exhausted its proposals (or proved no
     /// increasing time tuple exists) and ran the legacy rejection loop.
     bool guided_fallback = false;
@@ -142,6 +195,13 @@ class PoiReconstructor {
   /// Thread-safe given one workspace and Rng per thread.
   StatusOr<Result> Reconstruct(const region::RegionTrajectory& regions,
                                Rng& rng, Workspace& ws) const;
+
+  /// Advances `rng` exactly as `attempts` rejected attempts over `slots`
+  /// would (each draws, per slot, UniformUint64(num_pois) then
+  /// UniformUint64(num_times)), without reducing or checking anything.
+  /// Only the slots' thresholds are read.
+  static void ReplayAttempts(const std::vector<Slot>& slots, size_t attempts,
+                             Rng& rng);
 
   const Config& config() const { return config_; }
   const ReachabilityTable* table() const { return table_; }
@@ -171,8 +231,33 @@ class PoiReconstructor {
                : reach_->IsReachableBetween(from, to, t_from, t_to);
   }
 
-  bool IsFeasible(const std::vector<model::PoiId>& pois,
-                  const std::vector<model::Timestep>& times) const;
+  // The γ-retry loop. Returns the attempts made and sets `cause` to kNone
+  // when the last one was accepted (its candidate is in ws.pois/ws.times),
+  // else to why all γ failed.
+  size_t RejectionLoop(const std::vector<Slot>& slots, Rng& rng,
+                       Workspace& ws, SmoothingCause* cause) const;
+
+  // One rejection attempt: draws the same words SampleCandidate would,
+  // then runs the feasibility checks in order (time order, opening hours,
+  // reachability), reducing each word only when a check needs it.
+  bool TryAttempt(const std::vector<Slot>& slots, Rng& rng,
+                  Workspace& ws) const;
+
+  // The forward DP over earliest end times: true iff the feasible set of
+  // `slots` is non-empty.
+  bool HasFeasibleAssignment(const std::vector<Slot>& slots,
+                             Workspace& ws) const;
+
+  // Memoised model::MinReachableGap from POI j of slot i − 1 to POI k of
+  // slot i.
+  uint16_t MinGap(const std::vector<Slot>& slots, size_t i, size_t j,
+                  size_t k, Workspace& ws) const {
+    const Slot& slot = slots[i];
+    uint16_t& gap = ws.min_gaps[slot.memo_offset + j * slot.num_pois + k];
+    if (gap == 0) gap = reach_->MinGapTimesteps(slots[i - 1].pois[j],
+                                                slot.pois[k]);
+    return gap;
+  }
 
   const region::StcDecomposition* decomp_;
   const model::Reachability* reach_;

@@ -14,12 +14,11 @@ namespace trajldp::core {
 /// \brief Precomputed POI-pair reachability for every time budget.
 ///
 /// model::Reachability answers "can q be reached from p within a gap of
-/// g timesteps?" with a haversine distance per query — fine for one
-/// trajectory, the dominant cost of the §5.6 POI resampling loop at
-/// collector scale (a rejection attempt pays L−1 of them, and dense
-/// regions need hundreds of attempts). This table folds the whole
-/// predicate into public pre-processing, built once per world and shared
-/// read-only across every collector thread:
+/// g timesteps?" with a haversine distance per query. This table folds
+/// the whole predicate into public pre-processing, built once per world
+/// and shared read-only across every collector thread. The guided POI
+/// policy reads it; the rejection loop needs only the pairs of one
+/// user's regions and memoises those per user instead (PoiReconstructor).
 ///
 ///  * **min-gap matrix** — for every ordered POI pair (p, q), the
 ///    smallest timestep budget g ≥ 1 such that q is reachable from p
@@ -27,18 +26,16 @@ namespace trajldp::core {
 ///    Because θ(gap) = speed × gap is monotone in the gap, the single
 ///    `uint16_t` answers every time budget: reachable(p, q, g) ⇔
 ///    min_gap(p, q) ≤ g. One load + compare replaces the haversine.
-///    The matrix is built against `model::Reachability`'s own θ
-///    thresholds (same floating-point expressions, same ≤ comparison),
-///    so lookups are **exactly** equivalent to the formula for every
-///    integer gap — a collector may swap it in under the legacy
-///    rejection sampler without changing a single accept/reject bit.
+///    Each entry is model::MinReachableGap, which makes the formula's
+///    own ≤ comparison, so lookups are **exactly** equivalent to the
+///    formula for every integer gap.
 ///
 /// Memory (see docs/POI_SAMPLING.md): 2·P² bytes for the matrix. A
 /// matrix over `max_bytes` fails the build with kResourceExhausted.
 class ReachabilityTable {
  public:
   /// Sentinel min-gap: unreachable within any same-day time budget.
-  static constexpr uint16_t kNever = 0xFFFF;
+  static constexpr uint16_t kNever = model::kUnreachableGap;
 
   struct Options {
     /// Upper bound on the matrix's memory. Default 1 GiB (P ≈ 23k POIs).

@@ -1,22 +1,16 @@
 #include "core/time_smoother.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace trajldp::core {
 
 TimeSmoother::TimeSmoother(const model::PoiDatabase* db,
                            const model::TimeDomain& time,
                            model::ReachabilityConfig reach)
-    : db_(db), time_(time), reach_(reach) {}
+    : reach_(db, time, reach) {}
 
 int TimeSmoother::MinGapTimesteps(model::PoiId from, model::PoiId to) const {
-  if (reach_.unconstrained()) return 1;
-  const double km = db_->DistanceKm(from, to);
-  const double minutes = km / reach_.speed_kmh * 60.0;
-  const int steps = static_cast<int>(
-      std::ceil(minutes / time_.granularity_minutes() - 1e-9));
-  return std::max(steps, 1);
+  return reach_.MinGapTimesteps(from, to);
 }
 
 StatusOr<std::vector<model::Timestep>> TimeSmoother::Smooth(
@@ -27,18 +21,20 @@ StatusOr<std::vector<model::Timestep>> TimeSmoother::Smooth(
         "poi and timestep sequences must be non-empty and equal-length");
   }
   const size_t len = pois.size();
-  const model::Timestep num_ts = time_.num_timesteps();
+  const model::Timestep num_ts = reach_.time().num_timesteps();
 
   std::vector<int> gaps(len, 0);
   int total_gap = 0;
   for (size_t i = 1; i < len; ++i) {
     gaps[i] = MinGapTimesteps(pois[i - 1], pois[i]);
     total_gap += gaps[i];
-  }
-  if (total_gap > num_ts - 1) {
-    return Status::FailedPrecondition(
-        "POI sequence cannot be scheduled within one day even when packed "
-        "as tightly as reachability allows");
+    // Checked per step: a kUnreachableGap summed over a long sequence
+    // would overflow.
+    if (total_gap > num_ts - 1) {
+      return Status::FailedPrecondition(
+          "POI sequence cannot be scheduled within one day even when "
+          "packed as tightly as reachability allows");
+    }
   }
 
   // Forward pass: respect lower bounds while staying close to `initial`.

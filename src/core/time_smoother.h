@@ -19,15 +19,17 @@ namespace trajldp::core {
 /// moves a 9–10 pm visit to 8–9 pm).
 ///
 /// Smoothing enforces, with minimal forward/backward shifting:
-///   t_{i+1} ≥ t_i + gap_i,  gap_i = ceil(d_s(p_i, p_{i+1}) / speed)
-/// (in timesteps, at least 1), keeping all times within the day.
+///   t_{i+1} ≥ t_i + gap_i,  gap_i = model::MinReachableGap(d_s(p_i, p_{i+1}))
+/// (in timesteps, at least 1), keeping all times within the day. The gap
+/// is the model's own threshold, so every smoothed pair is reachable.
 class TimeSmoother {
  public:
   /// `db` must outlive this object.
   TimeSmoother(const model::PoiDatabase* db, const model::TimeDomain& time,
                model::ReachabilityConfig reach);
 
-  /// Minimum feasible gap in timesteps between consecutive visits.
+  /// Minimum feasible gap in timesteps between consecutive visits
+  /// (model::kUnreachableGap when no same-day gap reaches).
   int MinGapTimesteps(model::PoiId from, model::PoiId to) const;
 
   /// Returns smoothed, strictly increasing, reachability-feasible
@@ -38,9 +40,7 @@ class TimeSmoother {
       std::vector<model::Timestep> initial) const;
 
  private:
-  const model::PoiDatabase* db_;
-  model::TimeDomain time_;
-  model::ReachabilityConfig reach_;
+  model::Reachability reach_;
 };
 
 }  // namespace trajldp::core

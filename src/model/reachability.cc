@@ -5,6 +5,25 @@
 
 namespace trajldp::model {
 
+uint16_t MinReachableGap(double km, const TimeDomain& time,
+                         const ReachabilityConfig& config) {
+  if (config.unconstrained()) return 1;
+  // Binary search for the first g with km ≤ θ(g); hi = |T| + 1 stands for
+  // "no gap reaches".
+  Timestep lo = 1;
+  Timestep hi = time.num_timesteps() + 1;
+  while (lo < hi) {
+    const Timestep mid = lo + (hi - lo) / 2;
+    if (km <= config.ThetaKm(time.GapMinutes(0, mid))) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo > time.num_timesteps() ? kUnreachableGap
+                                   : static_cast<uint16_t>(lo);
+}
+
 Reachability::Reachability(const PoiDatabase* db, const TimeDomain& time,
                            ReachabilityConfig config)
     : db_(db), time_(time), config_(config) {}
@@ -18,6 +37,11 @@ bool Reachability::IsReachable(PoiId from, PoiId to, int gap_minutes) const {
 bool Reachability::IsReachableBetween(PoiId from, PoiId to, Timestep t_from,
                                       Timestep t_to) const {
   return IsReachable(from, to, time_.GapMinutes(t_from, t_to));
+}
+
+uint16_t Reachability::MinGapTimesteps(PoiId from, PoiId to) const {
+  if (config_.unconstrained()) return 1;
+  return MinReachableGap(db_->DistanceKm(from, to), time_, config_);
 }
 
 std::vector<PoiId> Reachability::ReachableSet(PoiId from,

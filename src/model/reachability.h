@@ -2,6 +2,7 @@
 #define TRAJLDP_MODEL_REACHABILITY_H_
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "model/poi_database.h"
@@ -43,6 +44,20 @@ struct ReachabilityConfig {
   double ReferenceThetaKm() const { return ThetaKm(reference_gap_minutes); }
 };
 
+/// Min-gap sentinel: no gap in [1, |T|] timesteps reaches (unreachable
+/// within any same-day time budget).
+inline constexpr uint16_t kUnreachableGap = 0xFFFF;
+
+/// \brief The smallest gap g ∈ [1, |T|], in timesteps, with
+/// `km ≤ config.ThetaKm(time.GapMinutes(0, g))` — the very comparison
+/// Reachability::IsReachable makes — or kUnreachableGap when none; 1 when
+/// unconstrained. θ is nondecreasing in the gap, so for every same-day gap
+/// g ≥ 1 the pair is reachable iff g ≥ this value. Every consumer of a
+/// pair's minimum gap (ReachabilityTable, TimeSmoother, the POI sampler)
+/// calls this one function, so none of them can disagree with the model.
+uint16_t MinReachableGap(double km, const TimeDomain& time,
+                         const ReachabilityConfig& config);
+
 /// \brief Answers reachability queries over a PoiDatabase (§4.1).
 ///
 /// A POI q is reachable from p within a gap Δt iff d_s(p, q) ≤ θ(Δt).
@@ -65,6 +80,10 @@ class Reachability {
   /// True when `to` can be reached from `from` between the two timesteps.
   bool IsReachableBetween(PoiId from, PoiId to, Timestep t_from,
                           Timestep t_to) const;
+
+  /// MinReachableGap of the pair's distance; makes no distance call when
+  /// unconstrained.
+  uint16_t MinGapTimesteps(PoiId from, PoiId to) const;
 
   /// All POIs reachable from `from` within `gap_minutes` (includes `from`).
   std::vector<PoiId> ReachableSet(PoiId from, int gap_minutes) const;

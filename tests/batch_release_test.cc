@@ -375,29 +375,6 @@ TEST_F(E2eBatchFixture, GuidedPolicyMatchesGuidedSequentialEveryThreadCount) {
   }
 }
 
-TEST_F(E2eBatchFixture, ReachabilityTableNeverChangesRejectionOutput) {
-  // The table is exact-by-construction against the reachability formula,
-  // so a mechanism built WITH it must release bit-identically to one
-  // built without — the ISSUE 4 "legacy output unchanged" criterion,
-  // end-to-end rather than per-lookup.
-  NGramConfig config = mech_->config();
-  config.precompute_poi_reachability = true;
-  auto tabled = NGramMechanism::Build(db_.get(), time_, config);
-  ASSERT_TRUE(tabled.ok()) << tabled.status();
-  ASSERT_NE(tabled->reachability_table(), nullptr);
-  ASSERT_EQ(mech_->reachability_table(), nullptr);
-
-  const uint64_t seed = 20260729;
-  const auto users = MakeUsers(24, 19);
-  BatchReleaseEngine plain(mech_.get(), BatchReleaseEngine::Config{2});
-  BatchReleaseEngine accelerated(&*tabled, BatchReleaseEngine::Config{2});
-  auto a = plain.ReleaseAllFull(users, seed);
-  auto b = accelerated.ReleaseAllFull(users, seed);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectIdenticalReleases(*a, *b);
-}
-
 TEST_F(E2eBatchFixture, ReleaseAllFullRepeatedRunsReuseWorkspaces) {
   // The same engine (same worker workspaces) must be replayable: run two
   // batches back to back, then the first batch again — dirty workspaces

@@ -161,6 +161,66 @@ TEST(RngTest, UniformUint64Unbiased) {
   EXPECT_NEAR(sum / n, 4.5, 0.05);
 }
 
+// ---------- Rng rejection primitives ----------
+
+// The xoshiro256++ step lives in the header; these words pin it, so that
+// no move or rewrite of the step can change a single draw.
+TEST(RngRejectionTest, NextUint64WordsArePinned) {
+  Rng rng(42);
+  EXPECT_EQ(rng.NextUint64(), 0xD0764D4F4476689FULL);
+  EXPECT_EQ(rng.NextUint64(), 0x519E4174576F3791ULL);
+  EXPECT_EQ(rng.NextUint64(), 0xFBE07CFB0C24ED8CULL);
+  EXPECT_EQ(rng.NextUint64(), 0xB37D9F600CD835B8ULL);
+  Rng other(7);
+  EXPECT_EQ(other.UniformUint64(1000), 661u);
+  EXPECT_EQ(other.UniformUint64((uint64_t{1} << 63) + 1),
+            4013571156380768369ULL);
+}
+
+TEST(RngRejectionTest, ThresholdIsTwoToTheSixtyFourModBound) {
+  EXPECT_EQ(Rng::RejectionThreshold(1), 0u);
+  EXPECT_EQ(Rng::RejectionThreshold(2), 0u);
+  EXPECT_EQ(Rng::RejectionThreshold(3), 1u);
+  EXPECT_EQ(Rng::RejectionThreshold(1000), 616u);
+  EXPECT_EQ(Rng::RejectionThreshold((uint64_t{1} << 63) + 1),
+            (uint64_t{1} << 63) - 1);
+  EXPECT_EQ(Rng::RejectionThreshold(~uint64_t{0}), 1u);
+}
+
+TEST(RngRejectionTest, UniformEqualsAcceptedWordModuloBound) {
+  const uint64_t bounds[] = {1,
+                             2,
+                             3,
+                             1000,
+                             (uint64_t{1} << 32) + 1,
+                             (uint64_t{1} << 63) + 1,
+                             ~uint64_t{0}};
+  for (const uint64_t bound : bounds) {
+    const uint64_t threshold = Rng::RejectionThreshold(bound);
+    Rng uniform(bound), accepted(bound), raw(bound);
+    size_t raw_words = 0;
+    constexpr int kDraws = 2000;
+    for (int i = 0; i < kDraws; ++i) {
+      const uint64_t want = uniform.UniformUint64(bound);
+      ASSERT_EQ(accepted.NextAccepted(threshold) % bound, want)
+          << "bound " << bound << " draw " << i;
+      // Count the raw words one draw consumes.
+      do {
+        ++raw_words;
+      } while (raw.NextUint64() < threshold);
+    }
+    // All three generators end in the same state.
+    const uint64_t next = uniform.NextUint64();
+    EXPECT_EQ(accepted.NextUint64(), next) << "bound " << bound;
+    EXPECT_EQ(raw.NextUint64(), next) << "bound " << bound;
+    if (bound == (uint64_t{1} << 63) + 1) {
+      // Half of all raw words fall below this threshold: the retry
+      // branch ran.
+      EXPECT_GT(raw_words, static_cast<size_t>(kDraws) * 3 / 2);
+    }
+  }
+}
+
 TEST(RngTest, GumbelMoments) {
   // Gumbel(0,1): mean = Euler–Mascheroni γ ≈ 0.5772, var = π²/6.
   Rng rng(9);

@@ -8,6 +8,7 @@
 
 #include "core/mechanism.h"
 #include "core/reachability.h"
+#include "core/time_smoother.h"
 #include "core/viterbi_reconstructor.h"
 #include "eval/normalized_error.h"
 #include "ldp/exponential_mechanism.h"
@@ -395,9 +396,14 @@ TEST_P(ReachabilityTableSweep, LookupMatchesFormulaForEveryPairAndBudget) {
   auto table = core::ReachabilityTable::Build(*db, time, config);
   ASSERT_TRUE(table.ok()) << table.status();
 
+  // The smoother packs smoothed trajectories by the same min gap.
+  const core::TimeSmoother smoother(&*db, time, config);
+
   const model::Timestep num_t = time.num_timesteps();
   for (model::PoiId p = 0; p < db->size(); ++p) {
     for (model::PoiId q = 0; q < db->size(); ++q) {
+      ASSERT_EQ(smoother.MinGapTimesteps(p, q), table->MinGapTimesteps(p, q))
+          << "p=" << p << " q=" << q;
       for (model::Timestep g = -1; g <= num_t; ++g) {
         ASSERT_EQ(table->IsReachable(p, q, g),
                   reach.IsReachable(p, q, time.GapMinutes(0, g)))

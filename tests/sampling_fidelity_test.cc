@@ -211,12 +211,16 @@ class SamplingFidelityTest : public ::testing::Test {
   // points — evaluated with model::Reachability's formula, independent
   // of every sampler and of the table.
   std::vector<OutcomeKey> EnumerateFeasible() {
+    return EnumerateFeasible(regions_);
+  }
+  std::vector<OutcomeKey> EnumerateFeasible(
+      const region::RegionTrajectory& regions) {
     struct Box {
       std::vector<model::PoiId> pois;
       model::Timestep first, last;
     };
     std::vector<Box> boxes;
-    for (region::RegionId id : regions_) {
+    for (region::RegionId id : regions) {
       const region::StcRegion& r = decomp_->region(id);
       boxes.push_back({r.pois, time_.MinuteToTimestep(r.time.begin),
                        time_.MinuteToTimestep(r.time.end - 1)});
@@ -339,6 +343,48 @@ TEST_F(SamplingFidelityTest, HarnessDetectsABiasedSampler) {
   EXPECT_GT(cmp.chi2, 10.0 * ChiSquaredCritical(cmp.df, 3.72));
   const auto gof = CompareToUniform(biased, feasible, kDraws);
   EXPECT_GT(gof.tv, 0.05);
+}
+
+TEST_F(SamplingFidelityTest, CertificateVerdictMatchesEnumeration) {
+  // The rejection loop's feasibility DP decides whether F is empty; with
+  // γ = 0 it runs before any attempt, so the smoothing cause is its
+  // verdict. Every sequence of one to three regions drawn from the corner
+  // POIs' regions, at the hours where the constraints bind.
+  std::vector<region::RegionId> pool;
+  for (const model::PoiId poi : {0, 1, 4, 5}) {
+    for (const int hour : {10, 13, 16}) {
+      auto id = decomp_->Lookup(poi, time_.MinuteToTimestep(hour * 60));
+      if (id.ok() && std::find(pool.begin(), pool.end(), *id) == pool.end()) {
+        pool.push_back(*id);
+      }
+    }
+  }
+  ASSERT_GE(pool.size(), 4u);
+  PoiReconstructor::Config config;
+  config.gamma = 0;
+  const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+  PoiReconstructor::Workspace ws;
+  size_t empty = 0, sequences = 0;
+  const auto check = [&](const region::RegionTrajectory& regions) {
+    Rng rng(sequences++);
+    auto result = reconstructor.Reconstruct(regions, rng, ws);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const bool certified_empty =
+        result->smoothing_cause == SmoothingCause::kEmptyFeasibleSet;
+    EXPECT_EQ(certified_empty, EnumerateFeasible(regions).empty())
+        << "sequence " << sequences - 1;
+    empty += certified_empty ? 1 : 0;
+  };
+  check(regions_);
+  for (const region::RegionId a : pool) {
+    check({a});
+    for (const region::RegionId b : pool) {
+      check({a, b});
+      for (const region::RegionId c : pool) check({a, b, c});
+    }
+  }
+  EXPECT_GT(empty, 0u);
+  EXPECT_LT(empty, sequences);
 }
 
 TEST_F(SamplingFidelityTest, GuidedIsDeterministicAndCheaperThanRejection) {

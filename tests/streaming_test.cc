@@ -16,6 +16,7 @@
 #include "core/shard_plan.h"
 #include "core/streaming_collector.h"
 #include "io/wire.h"
+#include "obs/metrics.h"
 #include "test_world.h"
 
 namespace trajldp::core {
@@ -657,6 +658,73 @@ TEST(MergeShardReleasesTest, OutOfRangeUserReported) {
   auto merged = MergeShardReleases(std::move(shards), 3);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(StreamingTelemetryTest, CountsPoiAttemptsAndSmoothingCauses) {
+  // A 1 km lattice with one-hour regions of six 10-minute timesteps.
+  // Region r holds POIs 0 and 4; a report asking for seven visits to it
+  // has an empty feasible set (time order), one asking for two does not.
+  auto db = MakeGridWorld();
+  ASSERT_TRUE(db.ok());
+  const auto time = *model::TimeDomain::Create(10);
+  NGramConfig config;
+  config.decomposition.grid_size = 2;
+  config.decomposition.coarse_grids = {1};
+  config.decomposition.base_interval_minutes = 60;
+  config.decomposition.merge.kappa = 1;
+  auto mech = NGramMechanism::Build(&*db, time, config);
+  ASSERT_TRUE(mech.ok()) << mech.status();
+  const region::RegionId r = *mech->decomposition().Lookup(0, 60);
+  const auto report = [&](uint64_t user, uint32_t len) {
+    io::WireReport out;
+    out.user_id = user;
+    out.epsilon_prime = config.epsilon / (len + config.n - 1);
+    out.trajectory_len = len;
+    for (size_t a = 1; a < len; ++a) out.ngrams.push_back({a, a + 1, {r, r}});
+    return out;
+  };
+
+  obs::Registry registry;
+  std::vector<UserRelease> releases;
+  {
+    StreamingCollector::Config collector_config;
+    collector_config.num_threads = 1;
+    collector_config.metrics = &registry;
+    StreamingCollector collector(
+        &*mech, 7,
+        [&releases](UserRelease release) {
+          releases.push_back(std::move(release));
+        },
+        collector_config);
+    ASSERT_TRUE(collector.Push({report(0, 7), report(1, 2)}).ok());
+    ASSERT_TRUE(collector.Finish().ok());
+  }
+  ASSERT_EQ(releases.size(), 2u);
+  size_t attempts = 0;
+  for (const UserRelease& user : releases) {
+    attempts += user.release.poi_attempts;
+    const bool futile = user.user_id == 0;
+    EXPECT_EQ(user.release.regions,
+              region::RegionTrajectory(futile ? 7 : 2, r));
+    EXPECT_EQ(user.release.smoothing_cause,
+              futile ? SmoothingCause::kEmptyFeasibleSet
+                     : SmoothingCause::kNone);
+  }
+
+  const obs::RegistrySnapshot snapshot = registry.Snapshot();
+  const obs::MetricSnapshot* attempts_total =
+      snapshot.Find("trajldp_collector_poi_attempts_total");
+  ASSERT_NE(attempts_total, nullptr);
+  EXPECT_EQ(attempts_total->value, static_cast<double>(attempts));
+  const obs::MetricSnapshot* empty = snapshot.Find(
+      "trajldp_collector_poi_smoothed_total",
+      {{"cause", "empty_feasible_set"}});
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->value, 1.0);
+  const obs::MetricSnapshot* capped = snapshot.Find(
+      "trajldp_collector_poi_smoothed_total", {{"cause", "retry_cap"}});
+  ASSERT_NE(capped, nullptr);
+  EXPECT_EQ(capped->value, 0.0);
 }
 
 }  // namespace
