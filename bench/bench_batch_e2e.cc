@@ -15,9 +15,9 @@
 //     BatchReleaseEngine::ReleaseAllFull with per-worker
 //     PipelineWorkspaces, rejection policy;
 //  4. guided      — the same pipeline on a mechanism built with
-//     poi.policy = kGuided (reachability-table lookups + the exact
-//     increasing-time proposal), sequentially and through the engine at
-//     1/all threads.
+//     poi.policy = kGuided (the exact increasing-time proposal, checked
+//     against the same per-user min-gap memo), sequentially and through
+//     the engine at 1/all threads.
 //
 // Gates (exit non-zero on violation, so CI fails loudly):
 //  * rejection engine output bit-identical to (2) at every thread count

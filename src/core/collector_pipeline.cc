@@ -145,6 +145,17 @@ Status CollectorPipeline::ValidateReport(size_t trajectory_len,
   if (trajectory_len == 0) {
     return Status::InvalidArgument("report has trajectory length 0");
   }
+  // Trajectory::Validate requires strictly increasing timesteps within
+  // the day, so no honest device sends more than |T| positions; this also
+  // caps what a hostile report can make the collector reconstruct.
+  const auto num_timesteps =
+      static_cast<size_t>(decomp_->time().num_timesteps());
+  if (trajectory_len > num_timesteps) {
+    return Status::InvalidArgument(
+        "report trajectory length " + std::to_string(trajectory_len) +
+        " exceeds the day's " + std::to_string(num_timesteps) +
+        " timesteps");
+  }
   const size_t num_regions = decomp_->num_regions();
   size_t covered_total = 0;
   for (size_t g = 0; g < z.size(); ++g) {
@@ -170,11 +181,8 @@ Status CollectorPipeline::ValidateReport(size_t trajectory_len,
     covered_total += gram.regions.size();
   }
   // Every position must be covered by some n-gram, as the §5.4 perturber
-  // guarantees. Beyond structural honesty, this bounds trajectory_len by
-  // bytes the report actually paid for: without it, a well-formed frame
-  // claiming L = 2^32 − 1 would drive an L-sized reconstruction problem
-  // (and its allocation) off a 4-byte field. The cheap aggregate bound
-  // runs first so `covered` is never sized from an unvetted length.
+  // guarantees, which bounds trajectory_len by bytes the report actually
+  // paid for. The cheap aggregate bound runs first.
   if (trajectory_len > covered_total) {
     return Status::InvalidArgument(
         "report trajectory length " + std::to_string(trajectory_len) +

@@ -154,9 +154,10 @@ class CollectorPipeline {
                      StageBreakdown* stages = nullptr) const;
 
   /// Structural validation of an untrusted (wire-decoded) report against
-  /// this pipeline's world: n-gram bounds within the trajectory length
-  /// and every region id within the decomposition. Reports from the wire
-  /// must pass here before ReconstructReportInto may index with them.
+  /// this pipeline's world: a trajectory length in [1, |T|], n-gram
+  /// bounds within it, every position covered and every region id within
+  /// the decomposition. Reports from the wire must pass here before
+  /// ReconstructReportInto may index with them.
   Status ValidateReport(size_t trajectory_len,
                         const PerturbedNgramSet& z) const;
 

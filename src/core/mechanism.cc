@@ -39,18 +39,8 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
       NgramPerturber::Config{config.n, config.epsilon});
   mech.reachability_ = std::make_unique<model::Reachability>(
       db, time, config.reachability);
-  // The guided policy's POI reachability table is public pre-processing
-  // like the rest of Build(): O(P²) haversines once per world, shared
-  // read-only across every collector thread.
-  if (config.poi.policy == PoiPolicy::kGuided) {
-    auto table = ReachabilityTable::Build(*db, time, config.reachability);
-    if (!table.ok()) return table.status();
-    mech.reachability_table_ =
-        std::make_unique<ReachabilityTable>(std::move(*table));
-  }
   mech.poi_reconstructor_ = std::make_unique<PoiReconstructor>(
-      mech.decomp_.get(), mech.reachability_.get(),
-      mech.reachability_table_.get(), config.poi);
+      mech.decomp_.get(), mech.reachability_.get(), config.poi);
   mech.preprocessing_seconds_ = preprocessing.ElapsedSeconds();
   return mech;
 }

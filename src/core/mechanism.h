@@ -101,11 +101,6 @@ class NGramMechanism {
   const region::RegionDistance& distance() const { return *distance_; }
   const NgramDomain& domain() const { return *domain_; }
   const model::Reachability& reachability() const { return *reachability_; }
-  /// The guided policy's POI-pair reachability table; null under the
-  /// rejection policy, whose loop memoises per user instead.
-  const ReachabilityTable* reachability_table() const {
-    return reachability_table_.get();
-  }
 
   /// Pre-processing wall-clock seconds (Figure 7).
   double preprocessing_seconds() const { return preprocessing_seconds_; }
@@ -122,7 +117,6 @@ class NGramMechanism {
   std::unique_ptr<NgramDomain> domain_;
   std::unique_ptr<NgramPerturber> perturber_;
   std::unique_ptr<model::Reachability> reachability_;
-  std::unique_ptr<ReachabilityTable> reachability_table_;
   std::unique_ptr<PoiReconstructor> poi_reconstructor_;
   double preprocessing_seconds_ = 0.0;
 };

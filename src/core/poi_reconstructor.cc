@@ -24,15 +24,8 @@ model::Trajectory MakeTrajectory(const std::vector<PoiId>& pois,
 PoiReconstructor::PoiReconstructor(const region::StcDecomposition* decomp,
                                    const model::Reachability* reach,
                                    Config config)
-    : PoiReconstructor(decomp, reach, nullptr, config) {}
-
-PoiReconstructor::PoiReconstructor(const region::StcDecomposition* decomp,
-                                   const model::Reachability* reach,
-                                   const ReachabilityTable* table,
-                                   Config config)
     : decomp_(decomp),
       reach_(reach),
-      table_(table),
       config_(config),
       smoother_(&decomp->db(), decomp->time(), reach->config()) {}
 
@@ -153,14 +146,9 @@ size_t PoiReconstructor::RejectionLoop(const std::vector<Slot>& slots,
   ws.pois.resize(slots.size());
   ws.times.resize(slots.size());
   ws.words.resize(2 * slots.size());
-  size_t memo_entries = 0;
-  for (size_t i = 1; i < slots.size(); ++i) {
-    memo_entries += slots[i - 1].num_pois * slots[i].num_pois;
-  }
-  ws.min_gaps.assign(memo_entries, 0);
   // The feasibility DP's pair count: the memo's pairs plus the first
   // slot's POIs, each paired with one virtual start.
-  const size_t pairs = slots.front().num_pois + memo_entries;
+  const size_t pairs = slots.front().num_pois + ws.min_gaps.size();
 
   // The DP runs once the loop has made as many attempts as the DP has
   // pairs (each far cheaper than an attempt): a user accepted sooner
@@ -273,6 +261,7 @@ bool PoiReconstructor::SampleGuided(const std::vector<Slot>& slots,
   pois->resize(slots.size());
   times->resize(slots.size());
   Timestep prev_t = -1;
+  size_t prev_k = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
     const Slot& slot = slots[i];
     const double* counts = ws.level_counts[i];
@@ -300,21 +289,22 @@ bool PoiReconstructor::SampleGuided(const std::vector<Slot>& slots,
     }
     if (pick < 0) return false;
 
-    const PoiId p = slot.pois[rng.UniformUint64(slot.num_pois)];
-    // Per-step feasibility, straight off the precomputed tables: reject
-    // the attempt as soon as a step fails (equivalent to rejecting the
-    // fully drawn candidate — rejection is rejection whenever detected —
-    // but never pays for the undrawn tail).
+    const size_t k = rng.UniformUint64(slot.num_pois);
+    const PoiId p = slot.pois[k];
+    // Per-step feasibility: reject the attempt as soon as a step fails
+    // (equivalent to rejecting the fully drawn candidate — rejection is
+    // rejection whenever detected — but never pays for the undrawn tail).
     if (!decomp_->db().poi(p).hours.IsOpenAtMinute(
             time.TimestepToMinute(pick))) {
       return false;
     }
-    if (i > 0 && !ReachableBetween((*pois)[i - 1], p, prev_t, pick)) {
+    if (i > 0 && pick - prev_t < MinGap(slots, i, prev_k, k, ws)) {
       return false;
     }
     (*pois)[i] = p;
     (*times)[i] = pick;
     prev_t = pick;
+    prev_k = k;
   }
   return true;
 }
@@ -341,8 +331,8 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
   std::vector<Timestep>& times = ws.times;
 
   // Hoist the per-position sampling bounds: the regions are fixed for the
-  // whole retry loop, so resolve POI lists, timestep intervals and draw
-  // thresholds once.
+  // whole retry loop, so resolve POI lists, timestep intervals, draw
+  // thresholds and the min-gap memo once.
   const model::TimeDomain& time = decomp_->time();
   ws.slots.resize(regions.size());
   size_t memo_offset = 0;
@@ -361,6 +351,7 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
       memo_offset += ws.slots[i - 1].num_pois * slot.num_pois;
     }
   }
+  ws.min_gaps.assign(memo_offset, 0);
   const std::vector<Slot>& slots = ws.slots;
 
   if (config_.policy == PoiPolicy::kGuided) {

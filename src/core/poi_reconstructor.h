@@ -2,11 +2,11 @@
 #define TRAJLDP_CORE_POI_RECONSTRUCTOR_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/aligned_arena.h"
 #include "common/rng.h"
 #include "common/status_or.h"
-#include "core/reachability.h"
 #include "core/time_smoother.h"
 #include "model/reachability.h"
 #include "model/trajectory.h"
@@ -30,14 +30,15 @@ namespace trajldp::core {
 ///  * kGuided — propose uniformly over the *increasing-time* superset of
 ///    the feasible set (a per-trajectory counting DP samples the time
 ///    tuple exactly uniformly; POIs stay uniform per position), check
-///    openness/reachability per step via the ReachabilityTable, accept
-///    when feasible. Same accept region, so the accepted distribution is
-///    identical, but the dominant rejection cause — unordered times — is
-///    gone by construction. Guided draws live on their own substream of
-///    the collector stream; when every guided attempt fails, the policy
-///    falls back to the full legacy rejection loop on the *untouched*
-///    collector stream, making the fallback output bit-identical to what
-///    kRejection would have produced.
+///    openness/reachability per step against the per-user min-gap memo
+///    the rejection loop also reads, accept when feasible. Same accept
+///    region, so the accepted distribution is identical, but the dominant
+///    rejection cause — unordered times — is gone by construction. Guided
+///    draws live on their own substream of the collector stream; when
+///    every guided attempt fails, the policy falls back to the full legacy
+///    rejection loop on the *untouched* collector stream, making the
+///    fallback output bit-identical to what kRejection would have
+///    produced.
 enum class PoiPolicy : uint8_t {
   kRejection = 0,
   kGuided = 1,
@@ -111,8 +112,9 @@ class PoiReconstructor {
 
   /// \brief Per-thread sampling scratch: the candidate (POI, timestep)
   /// buffers every rejection-sampling attempt writes into, the hoisted
-  /// per-position slots, the rejection loop's per-user memo and
-  /// feasibility DP, and the guided sampler's time-counting DP tables.
+  /// per-position slots, the per-user min-gap memo both samplers read,
+  /// the rejection loop's feasibility DP, and the guided sampler's
+  /// time-counting DP tables.
   /// Reusing one workspace across users makes the γ-retry loop
   /// allocation-free (the output trajectory itself is still allocated —
   /// it is the product).
@@ -126,7 +128,9 @@ class PoiReconstructor {
     /// Min-gap memo of the user's consecutive POI pairs: entry
     /// slots[i].memo_offset + j · slots[i].num_pois + k holds
     /// model::MinReachableGap between POI j of slot i − 1 and POI k of
-    /// slot i, or 0 until first use. Σ_i |P(r_{i−1})| · |P(r_i)| entries.
+    /// slot i, or 0 until first use. Σ_i |P(r_{i−1})| · |P(r_i)| entries,
+    /// sized once per user and shared by both samplers, so a guided →
+    /// rejection fallback reuses the entries guided proposals filled.
     std::vector<uint16_t> min_gaps;
     /// Feasibility DP layers: the earliest timestep a feasible prefix can
     /// end at each POI of the previous and of the current slot.
@@ -158,15 +162,9 @@ class PoiReconstructor {
     PoiPolicy policy = PoiPolicy::kRejection;
   };
 
-  /// All pointees must outlive this object. `table` may be null — the
-  /// guided policy then evaluates reachability through `reach` (correct,
-  /// just unaccelerated); when present it must be built from the same
-  /// database and ReachabilityConfig as `reach`.
+  /// All pointees must outlive this object.
   PoiReconstructor(const region::StcDecomposition* decomp,
                    const model::Reachability* reach, Config config);
-  PoiReconstructor(const region::StcDecomposition* decomp,
-                   const model::Reachability* reach,
-                   const ReachabilityTable* table, Config config);
 
   struct Result {
     model::Trajectory trajectory;
@@ -204,7 +202,6 @@ class PoiReconstructor {
                              Rng& rng);
 
   const Config& config() const { return config_; }
-  const ReachabilityTable* table() const { return table_; }
 
  private:
   // Draws one candidate (pois, timesteps) uniformly from the slots.
@@ -223,13 +220,6 @@ class PoiReconstructor {
   bool SampleGuided(const std::vector<Slot>& slots, Workspace& ws, Rng& rng,
                     std::vector<model::PoiId>* pois,
                     std::vector<model::Timestep>* times) const;
-
-  bool ReachableBetween(model::PoiId from, model::PoiId to,
-                        model::Timestep t_from, model::Timestep t_to) const {
-    return table_ != nullptr
-               ? table_->IsReachableBetween(from, to, t_from, t_to)
-               : reach_->IsReachableBetween(from, to, t_from, t_to);
-  }
 
   // The γ-retry loop. Returns the attempts made and sets `cause` to kNone
   // when the last one was accepted (its candidate is in ws.pois/ws.times),
@@ -261,7 +251,6 @@ class PoiReconstructor {
 
   const region::StcDecomposition* decomp_;
   const model::Reachability* reach_;
-  const ReachabilityTable* table_;
   Config config_;
   TimeSmoother smoother_;
 };

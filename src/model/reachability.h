@@ -53,8 +53,9 @@ inline constexpr uint16_t kUnreachableGap = 0xFFFF;
 /// Reachability::IsReachable makes — or kUnreachableGap when none; 1 when
 /// unconstrained. θ is nondecreasing in the gap, so for every same-day gap
 /// g ≥ 1 the pair is reachable iff g ≥ this value. Every consumer of a
-/// pair's minimum gap (ReachabilityTable, TimeSmoother, the POI sampler)
-/// calls this one function, so none of them can disagree with the model.
+/// pair's minimum gap (TimeSmoother, and both POI samplers through their
+/// per-user memo) calls this one function, so none of them can disagree
+/// with the model.
 uint16_t MinReachableGap(double km, const TimeDomain& time,
                          const ReachabilityConfig& config);
 

@@ -217,6 +217,35 @@ TEST(ReachabilityTest, UnconstrainedAlwaysReachable) {
   EXPECT_EQ(reach.ReachableSet(0, 10).size(), db->size());
 }
 
+TEST(ReachabilityTest, UnconstrainedAnswersEveryGap) {
+  auto db = MakeGridWorld();
+  ASSERT_TRUE(db.ok());
+  const auto time = *TimeDomain::Create(60);
+  const auto config = ReachabilityConfig::Unconstrained();
+  ASSERT_TRUE(config.unconstrained());
+  Reachability reach(&*db, time, config);
+  // θ = ∞ answers every gap, even a non-positive one.
+  EXPECT_TRUE(reach.IsReachable(0, 15, time.GapMinutes(0, -3)));
+  EXPECT_TRUE(reach.IsReachable(0, 15, 0));
+  EXPECT_TRUE(reach.IsReachable(0, 15, time.GapMinutes(0, 1)));
+  EXPECT_EQ(reach.MinGapTimesteps(0, 15), 1);
+}
+
+TEST(ReachabilityTest, DisconnectedPairReportsNever) {
+  // Two POIs 500 km apart at 4 km/h: unreachable in any same-day gap.
+  GridWorldOptions options;
+  options.rows = 1;
+  options.cols = 2;
+  options.spacing_km = 500.0;
+  auto db = MakeGridWorld(options);
+  ASSERT_TRUE(db.ok());
+  const auto time = *TimeDomain::Create(10);
+  Reachability reach(&*db, time, {4.0, 30});
+  EXPECT_EQ(reach.MinGapTimesteps(0, 1), kUnreachableGap);
+  EXPECT_EQ(reach.MinGapTimesteps(0, 0), 1);
+  EXPECT_FALSE(reach.IsReachableBetween(0, 1, 0, time.num_timesteps() - 1));
+}
+
 TEST(ReachabilityTest, CheckFeasibleCatchesViolations) {
   GridWorldOptions options;
   options.restrict_odd_hours = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -237,32 +238,6 @@ TEST_F(PoiReconstructorTest, GuidedSamplerProducesFeasibleOutput) {
   EXPECT_TRUE(reach_->CheckFeasible(result->trajectory).ok());
 }
 
-TEST_F(PoiReconstructorTest, GuidedWithTableMatchesGuidedWithoutTable) {
-  // The table is an exact materialisation of the reachability formula,
-  // so swapping it in changes no accept/reject decision: same seeds,
-  // bit-identical outputs, both policies.
-  auto table = ReachabilityTable::Build(*db_, time_, reach_config_);
-  ASSERT_TRUE(table.ok()) << table.status();
-  const auto regions = RegionsOf({{0, 60}, {1, 66}, {5, 72}, {6, 78}});
-  for (const PoiPolicy policy :
-       {PoiPolicy::kRejection, PoiPolicy::kGuided}) {
-    PoiReconstructor::Config config;
-    config.policy = policy;
-    PoiReconstructor plain(decomp_.get(), reach_.get(), config);
-    PoiReconstructor tabled(decomp_.get(), reach_.get(), &*table, config);
-    for (uint64_t seed = 0; seed < 10; ++seed) {
-      Rng rng1(seed), rng2(seed);
-      auto a = plain.Reconstruct(regions, rng1);
-      auto b = tabled.Reconstruct(regions, rng2);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_TRUE(a->trajectory == b->trajectory) << "seed " << seed;
-      EXPECT_EQ(a->attempts, b->attempts) << "seed " << seed;
-      EXPECT_EQ(a->smoothed, b->smoothed) << "seed " << seed;
-    }
-  }
-}
-
 TEST_F(PoiReconstructorTest, GuidedNeedsFewerAttemptsOnAverage) {
   const auto regions = RegionsOf({{0, 60}, {1, 66}, {5, 72}, {6, 78}});
   PoiReconstructor naive(decomp_.get(), reach_.get(), {});
@@ -314,9 +289,6 @@ class GuidedFallbackTest : public ::testing::Test {
     reach_config_.reference_gap_minutes = 60;
     reach_ = std::make_unique<model::Reachability>(db_.get(), time_,
                                                    reach_config_);
-    auto table = ReachabilityTable::Build(*db_, time_, reach_config_);
-    ASSERT_TRUE(table.ok()) << table.status();
-    table_ = std::make_unique<core::ReachabilityTable>(std::move(*table));
   }
 
   std::unique_ptr<model::PoiDatabase> db_;
@@ -324,7 +296,6 @@ class GuidedFallbackTest : public ::testing::Test {
   std::unique_ptr<region::StcDecomposition> decomp_;
   model::ReachabilityConfig reach_config_;
   std::unique_ptr<model::Reachability> reach_;
-  std::unique_ptr<core::ReachabilityTable> table_;
 };
 
 TEST_F(GuidedFallbackTest, FallsBackToRejectionLoopBitExactly) {
@@ -332,10 +303,8 @@ TEST_F(GuidedFallbackTest, FallsBackToRejectionLoopBitExactly) {
   config.gamma = 100;  // the rejection loop is provably futile here
   PoiReconstructor::Config guided_config = config;
   guided_config.policy = PoiPolicy::kGuided;
-  PoiReconstructor rejection(decomp_.get(), reach_.get(), table_.get(),
-                             config);
-  PoiReconstructor guided(decomp_.get(), reach_.get(), table_.get(),
-                          guided_config);
+  PoiReconstructor rejection(decomp_.get(), reach_.get(), config);
+  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
 
   // Afternoon-interval region first, morning-interval region second:
   // t₀ ∈ [12:00, 24:00), t₁ ∈ [0:00, 12:00), t₁ > t₀ is impossible.
@@ -366,8 +335,7 @@ TEST_F(GuidedFallbackTest, FeasibleInputNeverFallsBackEvenWhenStarved) {
   // attempt must already succeed with a feasible, unsmoothed trajectory.
   PoiReconstructor::Config guided_config;
   guided_config.policy = PoiPolicy::kGuided;
-  PoiReconstructor guided(decomp_.get(), reach_.get(), table_.get(),
-                          guided_config);
+  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
   region::RegionTrajectory regions{
       *decomp_->Lookup(0, time_.MinuteToTimestep(60)),
       *decomp_->Lookup(0, time_.MinuteToTimestep(800))};
@@ -729,7 +697,16 @@ struct EquivalenceWorldParam {
   uint64_t seed;
   double speed_kmh;  // infinity: unconstrained
   int granularity_minutes;
+  /// GuidedReleasesMatchPinnedFingerprint's expected value.
+  uint64_t guided_fingerprint;
 };
+
+// Prints the fields only: gtest's fallback prints the struct's bytes,
+// padding included, which would change the test ids from build to build.
+void PrintTo(const EquivalenceWorldParam& param, std::ostream* os) {
+  *os << "seed " << param.seed << ", " << param.speed_kmh << " km/h, "
+      << param.granularity_minutes << " min steps";
+}
 
 class PoiRejectionEquivalenceSweep
     : public ::testing::TestWithParam<EquivalenceWorldParam> {
@@ -846,16 +823,58 @@ TEST_P(PoiRejectionEquivalenceSweep, CertificateVerdictMatchesExhaustiveSearch) 
   EXPECT_LT(empty, kSequences);
 }
 
+TEST_P(PoiRejectionEquivalenceSweep, GuidedReleasesMatchPinnedFingerprint) {
+  // ExpectMatchesReference holds a guided acceptance only to feasibility,
+  // so this pins the guided policy draw for draw: every Result on the
+  // sweep's sequences, and the collector stream after it, folds into one
+  // fingerprint, recorded when guided proposals read a world-wide
+  // reachability table instead of the per-user memo.
+  PoiReconstructor::Config config;
+  config.gamma = 2000;
+  config.policy = PoiPolicy::kGuided;
+  const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+  PoiReconstructor::Workspace ws;
+  Rng sequences(GetParam().seed);
+  const Rng root(GetParam().seed + 1000);
+  uint64_t fingerprint = 0xcbf29ce484222325ULL;  // FNV-1a over words
+  const auto fold = [&fingerprint](uint64_t word) {
+    fingerprint = (fingerprint ^ word) * 0x100000001b3ULL;
+  };
+  size_t fallbacks = 0;
+  for (uint64_t s = 0; s < 40; ++s) {
+    Rng rng = root.Substream(s);
+    auto result = reconstructor.Reconstruct(MakeSequence(sequences), rng, ws);
+    ASSERT_TRUE(result.ok()) << result.status();
+    fold(result->trajectory.size());
+    for (const model::TrajectoryPoint& pt : result->trajectory.points()) {
+      fold(pt.poi);
+      fold(static_cast<uint64_t>(pt.t));
+    }
+    fold(result->attempts);
+    fold(result->smoothed ? 1 : 0);
+    fold(static_cast<uint64_t>(result->smoothing_cause));
+    fold(result->guided_fallback ? 1 : 0);
+    fold(rng.NextUint64());
+    fallbacks += result->guided_fallback ? 1 : 0;
+  }
+  // Both guided acceptances and fallbacks are in the fingerprint.
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_LT(fallbacks, 40u);
+  EXPECT_EQ(fingerprint, GetParam().guided_fingerprint)
+      << std::hex << "0x" << fingerprint;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomWorlds, PoiRejectionEquivalenceSweep,
     ::testing::Values(
         // Walking pace over a 4 km square: reachability binds.
-        EquivalenceWorldParam{1, 3.0, 10},
-        EquivalenceWorldParam{2, 5.0, 20},
+        EquivalenceWorldParam{1, 3.0, 10, 0xcb55a14dfe523e30},
+        EquivalenceWorldParam{2, 5.0, 20, 0xe402c9defcf7d040},
         // θ = ∞: only time order and opening hours bind.
-        EquivalenceWorldParam{3, std::numeric_limits<double>::infinity(), 10},
-        EquivalenceWorldParam{4, std::numeric_limits<double>::infinity(),
-                              15}),
+        EquivalenceWorldParam{3, std::numeric_limits<double>::infinity(), 10,
+                              0x1604b5de41e4f073},
+        EquivalenceWorldParam{4, std::numeric_limits<double>::infinity(), 15,
+                              0xcf485ebf9036d901}),
     [](const ::testing::TestParamInfo<EquivalenceWorldParam>& info) {
       return "Seed" + std::to_string(info.param.seed);
     });

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/poi_reconstructor.h"
-#include "core/reachability.h"
 #include "model/reachability.h"
 #include "region/decomposition.h"
 #include "test_world.h"
@@ -165,9 +164,6 @@ class SamplingFidelityTest : public ::testing::Test {
     reach_config_.reference_gap_minutes = 60;
     reach_ = std::make_unique<model::Reachability>(db_.get(), time_,
                                                    reach_config_);
-    auto table = ReachabilityTable::Build(*db_, time_, reach_config_);
-    ASSERT_TRUE(table.ok()) << table.status();
-    table_ = std::make_unique<ReachabilityTable>(std::move(*table));
 
     // Three afternoon regions around the lattice's lower-left corner —
     // every position has multiple POIs and/or timesteps, and both the
@@ -184,14 +180,7 @@ class SamplingFidelityTest : public ::testing::Test {
   Histogram Sample(PoiPolicy policy, size_t draws, uint64_t seed) {
     PoiReconstructor::Config config;
     config.policy = policy;
-    // Rejection runs table-less (the paper's formula path); guided runs
-    // on the table — so this harness also covers table-vs-formula
-    // equivalence statistically.
-    PoiReconstructor reconstructor =
-        policy == PoiPolicy::kGuided
-            ? PoiReconstructor(decomp_.get(), reach_.get(), table_.get(),
-                               config)
-            : PoiReconstructor(decomp_.get(), reach_.get(), config);
+    PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
     Histogram histogram;
     PoiReconstructor::Workspace ws;
     const Rng root(seed);
@@ -209,7 +198,7 @@ class SamplingFidelityTest : public ::testing::Test {
   // assignment from the per-position boxes that is strictly increasing
   // in time, open at every visit, and reachable between consecutive
   // points — evaluated with model::Reachability's formula, independent
-  // of every sampler and of the table.
+  // of every sampler and of their min-gap memo.
   std::vector<OutcomeKey> EnumerateFeasible() {
     return EnumerateFeasible(regions_);
   }
@@ -265,7 +254,6 @@ class SamplingFidelityTest : public ::testing::Test {
   std::unique_ptr<region::StcDecomposition> decomp_;
   model::ReachabilityConfig reach_config_;
   std::unique_ptr<model::Reachability> reach_;
-  std::unique_ptr<ReachabilityTable> table_;
   region::RegionTrajectory regions_;
 };
 
@@ -399,8 +387,7 @@ TEST_F(SamplingFidelityTest, GuidedIsDeterministicAndCheaperThanRejection) {
   PoiReconstructor::Config guided_config;
   guided_config.policy = PoiPolicy::kGuided;
   PoiReconstructor rejection(decomp_.get(), reach_.get(), rejection_config);
-  PoiReconstructor guided(decomp_.get(), reach_.get(), table_.get(),
-                          guided_config);
+  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
   PoiReconstructor::Workspace ws;
   size_t rejection_attempts = 0, guided_attempts = 0;
   const Rng root(707);

@@ -395,8 +395,8 @@ TEST_F(StreamingFixture, OutOfRangeRegionIdRejectedNotIndexed) {
 
 TEST_F(StreamingFixture, HugeTrajectoryLenRejectedBeforeAllocation) {
   // A well-formed frame whose report claims L = 2^32 − 1 over a single
-  // covered position must be rejected by coverage validation — never
-  // reaching the L-sized reconstruction problem.
+  // covered position must be rejected at validation — never reaching the
+  // L-sized reconstruction problem.
   io::WireReport report;
   report.user_id = 0;
   report.trajectory_len = ~uint32_t{0};
@@ -408,6 +408,42 @@ TEST_F(StreamingFixture, HugeTrajectoryLenRejectedBeforeAllocation) {
   auto status = collector.Finish();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// One n-gram covering every position of a length-`len` report.
+PerturbedNgramSet CoveringNgrams(size_t len) {
+  return {PerturbedNgram{1, len, region::RegionTrajectory(len, 0)}};
+}
+
+TEST_F(StreamingFixture, TrajectoryLenBoundedByTheDay) {
+  // An honest trajectory visits strictly increasing timesteps of one day,
+  // so a report may claim |T| positions but not |T| + 1, however many
+  // n-grams pay for them.
+  const auto num_t = static_cast<size_t>(time_.num_timesteps());
+  const CollectorPipeline pipeline = mech_->pipeline();
+  EXPECT_TRUE(pipeline.ValidateReport(num_t, CoveringNgrams(num_t)).ok());
+  const Status over =
+      pipeline.ValidateReport(num_t + 1, CoveringNgrams(num_t + 1));
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument) << over;
+}
+
+TEST_F(StreamingFixture, OverLongReportRejectedNamingItsLength) {
+  // A fully covered report one position longer than the day must fail
+  // validation, not run reconstruction only to fail in the smoother.
+  const auto len = static_cast<size_t>(time_.num_timesteps()) + 1;
+  io::WireReport report;
+  report.user_id = 0;
+  report.trajectory_len = static_cast<uint32_t>(len);
+  report.epsilon_prime = 1.0;
+  report.ngrams = CoveringNgrams(len);
+  StreamingCollector collector(mech_.get(), 1,
+                               [](UserRelease) { FAIL(); });
+  ASSERT_TRUE(collector.Push(io::ReportBatch{report}).ok());
+  auto status = collector.Finish();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find(std::to_string(len)), std::string::npos)
+      << status;
 }
 
 TEST_F(StreamingFixture, UncoveredPositionRejected) {
