@@ -80,7 +80,7 @@ int main() {
     config.reachability.speed_kmh = 8.0;
     config.sampler = sampler;
     config.subsample_size = 200;
-    config.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+    config.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
     auto mech = core::GlobalMechanism::Create(&*db, time, config);
     if (!mech.ok()) {
       std::cerr << mech.status() << "\n";

@@ -1,8 +1,8 @@
 // Ablation D: STC region merging strategies (§5.3, Figure 2). Sweeps the
 // κ threshold, the dimension priority, and popularity protection, and
 // reports the decomposition size, the resulting |W2|, utility (NE), and
-// per-trajectory runtime — the efficiency/utility trade-off DESIGN.md
-// calls out.
+// per-trajectory runtime — the efficiency/utility trade-off
+// docs/CALIBRATION.md calls out.
 
 #include <cmath>
 #include <iostream>
@@ -83,7 +83,7 @@ int main() {
     core::NGramConfig mc;
     mc.epsilon = config.epsilon;
     mc.reachability = dataset->reachability;
-    mc.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+    mc.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
     mc.decomposition = variant.config;
     auto mech = core::NGramMechanism::Build(&dataset->db, dataset->time, mc);
     if (!mech.ok()) {

@@ -79,7 +79,7 @@ int main() {
   core::NGramConfig config;
   config.epsilon = 5.0;
   config.reachability = dataset->reachability;
-  config.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+  config.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
   auto mech = core::NGramMechanism::Build(&dataset->db, dataset->time,
                                           config);
   if (!mech.ok()) {
@@ -122,7 +122,7 @@ int main() {
 
       // Region-level → POI-level via the shared reconstructor.
       core::PoiReconstructor poi_reconstructor(
-          &mech->decomposition(), &mech->reachability(), {});
+          &mech->decomposition(), &mech->reachability());
       auto result = poi_reconstructor.Reconstruct(*regions, traj_rng);
       if (!result.ok()) continue;
       real.push_back(traj);

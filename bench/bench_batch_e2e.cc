@@ -1,31 +1,25 @@
-// End-to-end batched pipeline benchmark (ISSUE 2 + ISSUE 4 acceptance
-// criteria):
-// on a ~200-region / n = 2 / multi-user workload at fixed ε, run the full
-// collector pipeline — perturb → R_mbr candidates → optimal region-level
-// reconstruction → POI-level resampling — four ways and compare:
+// End-to-end batched pipeline benchmark: on a ~200-region / n = 2 /
+// multi-user workload at fixed ε, run the full collector pipeline —
+// perturb → R_mbr candidates → optimal region-level reconstruction →
+// POI-level resampling — three ways and compare:
 //
 //  1. seed path   — faithful replica of the pre-optimisation per-user
 //     loop: uncached perturbation (O(R) distance + exp() rows per draw),
 //     node-error tables filled with per-pair haversine + category walks,
-//     per-call solver allocations (see seed_replica.h);
+//     per-call solver allocations, and the paper's γ = 50,000 POI loop
+//     (see seed_replica.h);
 //  2. sequential  — today's per-user loop (cached rows + float-table
-//     gather), no workspaces: the engine's documented replay recipe,
-//     under the legacy REJECTION POI policy;
+//     gather), no workspaces: the engine's documented replay recipe;
 //  3. engine, 1 thread / all hardware threads —
 //     BatchReleaseEngine::ReleaseAllFull with per-worker
-//     PipelineWorkspaces, rejection policy;
-//  4. guided      — the same pipeline on a mechanism built with
-//     poi.policy = kGuided (the exact increasing-time proposal, checked
-//     against the same per-user min-gap memo), sequentially and through
-//     the engine at 1/all threads.
+//     PipelineWorkspaces.
 //
 // Gates (exit non-zero on violation, so CI fails loudly):
-//  * rejection engine output bit-identical to (2) at every thread count
-//    — the legacy policy stays draw-for-draw the paper loop;
-//  * guided engine output bit-identical to the sequential guided loop
-//    at every thread count;
+//  * engine output bit-identical to (2) at 1 and at all threads;
 //  * end-to-end engine speedup vs the seed loop >= 4x;
-//  * POI-stage speedup, guided vs rejection (per-stage split), >= 2x.
+//  * POI-stage speedup >= 2x: the sequential loop's POI stage against
+//    bench::SeedPoiReconstructor, the plain paper loop, over the same
+//    users' region sequences and collector streams.
 // Both speedups are medians over kGateRounds paired rounds
 // (bench_util.h RunPairedGate).
 //
@@ -37,7 +31,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -59,26 +52,6 @@ using region::RegionId;
 
 // Paired rounds behind both speedup gates (docs/PERF.md §Timing gates).
 constexpr int kGateRounds = 5;
-
-// One POI policy's legs. Every run of a leg that perturbs takes a
-// mechanism nothing has touched, so it starts on an empty row cache. The
-// policy's first sequential run is its reference output, and every later
-// run under the policy must equal it.
-struct PolicyLegs {
-  std::vector<core::NGramMechanism> unused;
-  size_t next = 0;
-  std::vector<core::FullRelease> reference;
-  bool identical = true;
-
-  const core::NGramMechanism& Take() { return unused.at(next++); }
-  void Check(std::vector<core::FullRelease> out) {
-    if (reference.empty()) {
-      reference = std::move(out);
-    } else {
-      identical = identical && out == reference;
-    }
-  }
-};
 
 int Run(size_t num_users, const std::string& json_path) {
   constexpr int kN = 2;
@@ -106,30 +79,28 @@ int Run(size_t num_users, const std::string& json_path) {
   // per-cell cliques, the regime the paper's city decompositions sit in.
   config.reachability.speed_kmh = 8.0;
   config.reachability.reference_gap_minutes = 30;
-  core::NGramConfig guided_config = config;
-  guided_config.poi.policy = core::PoiPolicy::kGuided;
-  // Every mechanism a run takes is built here, before any stopwatch
-  // starts (building one right before its leg measurably slowed that
-  // leg). Per gated leg: the warm-up plus the timed rounds. Rejection:
-  // the sequential loop, the all-threads engine, one 1-thread engine run.
-  // Guided: the sequential loop, one engine run at 1 and at all threads.
+  // Every run that perturbs takes a mechanism nothing has touched, so it
+  // starts on an empty row cache; all are built here, before any
+  // stopwatch starts (building one right before its leg measurably
+  // slowed that leg): the reference run, the sequential loop and the
+  // all-threads engine once per gate run (warm-up plus timed rounds),
+  // and one 1-thread engine run.
   constexpr size_t kGateRuns = kGateRounds + 1;
-  PolicyLegs rejection;
-  PolicyLegs guided;
-  for (auto [legs, leg_config, count] :
-       {std::tuple{&rejection, &config, 2 * kGateRuns + 1},
-        std::tuple{&guided, &guided_config, kGateRuns + 2}}) {
-    for (size_t i = 0; i < count; ++i) {
-      auto mech = core::NGramMechanism::Build(&*db, time, *leg_config);
-      if (!mech.ok()) {
-        std::cerr << mech.status() << "\n";
-        return 1;
-      }
-      legs->unused.push_back(std::move(*mech));
+  std::vector<core::NGramMechanism> unused;
+  for (size_t i = 0; i < 2 * kGateRuns + 2; ++i) {
+    auto mech = core::NGramMechanism::Build(&*db, time, config);
+    if (!mech.ok()) {
+      std::cerr << mech.status() << "\n";
+      return 1;
     }
+    unused.push_back(std::move(*mech));
   }
-  // The seed loop reads only the world, never a row cache.
-  const core::NGramMechanism& world = rejection.unused.front();
+  size_t next_unused = 0;
+  const auto take = [&]() -> const core::NGramMechanism& {
+    return unused.at(next_unused++);
+  };
+  // The seed loops read only the world, never a row cache.
+  const core::NGramMechanism& world = unused.back();
 
   const auto& decomp = world.decomposition();
   const auto& graph = world.graph();
@@ -149,11 +120,10 @@ int Run(size_t num_users, const std::string& json_path) {
     }
   }
   const Rng root(kSeed);
+  const model::Reachability seed_reach(&*db, time, config.reachability);
+  const bench::SeedPoiReconstructor seed_poi(&decomp, &seed_reach);
 
   // --- 1. Seed per-user e2e path (sequential). ----------------------
-  const model::Reachability seed_reach(&*db, time, config.reachability);
-  const bench::SeedPoiReconstructor seed_poi(&decomp, &seed_reach,
-                                             config.poi.gamma);
   auto seed_leg = [&]() -> StatusOr<double> {
     Stopwatch watch;
     for (size_t i = 0; i < users.size(); ++i) {
@@ -190,13 +160,23 @@ int Run(size_t num_users, const std::string& json_path) {
     return watch.ElapsedSeconds();
   };
 
-  // --- 2. Today's sequential loops: reference outputs + stage split. -
-  // Each returns its POI-stage seconds; the wall time and stage split
-  // printed below are its policy's latest run.
+  // --- 2. Today's sequential loop: reference output + stage split. ---
+  // Returns the POI-stage seconds; the wall time and stage split printed
+  // below are its latest run. The first run is the reference output, and
+  // every later run, sequential or engine, must equal it.
+  std::vector<core::FullRelease> reference;
+  bool identical = true;
+  const auto check = [&](std::vector<core::FullRelease> out) {
+    if (reference.empty()) {
+      reference = std::move(out);
+    } else {
+      identical = identical && out == reference;
+    }
+  };
   core::StageBreakdown stages;
   double sequential_seconds = 0.0;
-  auto rejection_sequential = [&]() -> StatusOr<double> {
-    const core::NGramMechanism& mech = rejection.Take();
+  auto sequential = [&]() -> StatusOr<double> {
+    const core::NGramMechanism& mech = take();
     std::vector<core::FullRelease> out;
     out.reserve(users.size());
     stages = {};
@@ -209,75 +189,64 @@ int Run(size_t num_users, const std::string& json_path) {
       out.push_back(std::move(*release));
     }
     sequential_seconds = watch.ElapsedSeconds();
-    rejection.Check(std::move(out));
+    check(std::move(out));
     return stages.poi_seconds;
   };
-  core::StageBreakdown guided_stages;
-  double guided_sequential_seconds = 0.0;
-  auto guided_sequential = [&]() -> StatusOr<double> {
-    const core::CollectorPipeline pipe = guided.Take().pipeline();
-    std::vector<core::FullRelease> out(users.size());
-    guided_stages = {};
-    core::PipelineWorkspace ws;
+  if (auto first = sequential(); !first.ok()) {
+    std::cerr << "reference run: " << first.status() << "\n";
+    return 1;
+  }
+
+  // The paper loop over the reference's region sequences, each user on
+  // the collector stream the pipeline gives its POI stage.
+  auto seed_poi_leg = [&]() -> StatusOr<double> {
     Stopwatch watch;
-    for (size_t i = 0; i < users.size(); ++i) {
-      Rng user_rng = root.Substream(i);
-      Status released =
-          pipe.ReleaseInto(users[i], user_rng, ws, out[i], &guided_stages);
-      if (!released.ok()) return released;
+    for (size_t i = 0; i < reference.size(); ++i) {
+      Rng collector_rng =
+          core::CollectorPipeline::CollectorRng(root.Substream(i));
+      auto poi = seed_poi.Reconstruct(reference[i].regions, collector_rng);
+      if (!poi.ok()) return poi.status();
     }
-    guided_sequential_seconds = watch.ElapsedSeconds();
-    guided.Check(std::move(out));
-    return guided_stages.poi_seconds;
+    return watch.ElapsedSeconds();
   };
 
-  // --- 3. Batched engine, either policy, on an untouched mechanism. --
-  auto run_engine = [&](PolicyLegs& legs, size_t threads) -> StatusOr<double> {
+  // --- 3. Batched engine on an untouched mechanism. ------------------
+  auto run_engine = [&](size_t threads) -> StatusOr<double> {
     core::BatchReleaseEngine engine(
-        &legs.Take(), core::BatchReleaseEngine::Config{threads});
+        &take(), core::BatchReleaseEngine::Config{threads});
     Stopwatch watch;
     auto result = engine.ReleaseAllFull(users, kSeed);
     const double seconds = watch.ElapsedSeconds();
     if (!result.ok()) return result.status();
-    legs.Check(std::move(*result));
+    check(std::move(*result));
     return seconds;
   };
 
-  // The POI gate runs first, so each policy's reference output is its
-  // sequential loop.
   bench::TimingGate poi_gate{"poi_stage_speedup", 2.0, true};
-  if (Status gate = bench::RunPairedGate(kGateRounds, rejection_sequential,
-                                         guided_sequential, poi_gate);
+  if (Status gate = bench::RunPairedGate(kGateRounds, seed_poi_leg,
+                                         sequential, poi_gate);
       !gate.ok()) {
-    std::cerr << "sequential rounds: " << gate << "\n";
+    std::cerr << "POI stage rounds: " << gate << "\n";
     return 1;
   }
   const size_t hw_threads = ThreadPool::DefaultThreadCount();
   bench::TimingGate seed_gate{"speedup_vs_seed_loop", 4.0, true};
   if (Status gate = bench::RunPairedGate(
-          kGateRounds, seed_leg,
-          [&] { return run_engine(rejection, hw_threads); }, seed_gate);
+          kGateRounds, seed_leg, [&] { return run_engine(hw_threads); },
+          seed_gate);
       !gate.ok()) {
     std::cerr << "seed vs engine rounds: " << gate << "\n";
     return 1;
   }
-  auto engine1 = run_engine(rejection, 1);
-  auto guided1 = run_engine(guided, 1);
-  auto guided_hw = run_engine(guided, hw_threads);
-  for (const auto* leg : {&engine1, &guided1, &guided_hw}) {
-    if (!leg->ok()) {
-      std::cerr << "engine: " << leg->status() << "\n";
-      return 1;
-    }
+  auto engine1 = run_engine(1);
+  if (!engine1.ok()) {
+    std::cerr << "engine: " << engine1.status() << "\n";
+    return 1;
   }
 
   const double seed_seconds = seed_gate.numerator_seconds;
   const double engine1_seconds = *engine1;
   const double engine_hw_seconds = seed_gate.denominator_seconds;
-  const double guided1_seconds = *guided1;
-  const double guided_hw_seconds = *guided_hw;
-  const bool identical = rejection.identical;
-  const bool guided_identical = guided.identical;
   const double speedup_1t_vs_seed = seed_seconds / engine1_seconds;
   const double scaling = engine1_seconds / engine_hw_seconds;
   const auto users_per_sec = [&](double seconds) {
@@ -292,32 +261,20 @@ int Run(size_t num_users, const std::string& json_path) {
             << users_per_sec(engine1_seconds) << " users/s)\n"
             << "engine, " << hw_threads << " thread(s):  " << engine_hw_seconds
             << " s  (" << users_per_sec(engine_hw_seconds) << " users/s)\n"
-            << "guided sequential:    " << guided_sequential_seconds
-            << " s  (" << users_per_sec(guided_sequential_seconds)
-            << " users/s)\n"
-            << "guided engine, 1t:    " << guided1_seconds << " s  ("
-            << users_per_sec(guided1_seconds) << " users/s)\n"
-            << "guided engine, " << hw_threads << "t:    " << guided_hw_seconds
-            << " s  (" << users_per_sec(guided_hw_seconds) << " users/s)\n"
-            << "rejection stage split: perturb " << stages.perturb_seconds
+            << "stage split: perturb " << stages.perturb_seconds
             << " s, prep " << stages.reconstruct_prep_seconds
             << " s, optimal " << stages.optimal_reconstruct_seconds
             << " s, other " << stages.other_seconds << " s (poi "
             << stages.poi_seconds << " s)\n"
-            << "guided stage split:    perturb "
-            << guided_stages.perturb_seconds << " s, prep "
-            << guided_stages.reconstruct_prep_seconds << " s, optimal "
-            << guided_stages.optimal_reconstruct_seconds << " s, other "
-            << guided_stages.other_seconds << " s (poi "
-            << guided_stages.poi_seconds << " s)\n"
+            << "POI stage (medians): paper loop "
+            << poi_gate.numerator_seconds << " s, sampler "
+            << poi_gate.denominator_seconds << " s\n"
             << "e2e speedup vs seed loop (engine@1t): " << speedup_1t_vs_seed
             << "x\n"
             << "thread scaling (1t/" << hw_threads << "t): " << scaling
             << "x\n"
             << "batched == sequential (bit-identical): "
-            << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n"
-            << "guided batched == guided sequential (bit-identical): "
-            << (guided_identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
+            << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
   poi_gate.Print();
   seed_gate.Print();
   if (!json_path.empty()) {
@@ -350,42 +307,24 @@ int Run(size_t num_users, const std::string& json_path) {
         << "  \"sequential_other_seconds\": " << stages.other_seconds
         << ",\n"
         << "  \"sequential_poi_seconds\": " << stages.poi_seconds << ",\n"
+        << "  \"seed_poi_seconds\": " << poi_gate.numerator_seconds
+        << ",\n"
         << "  \"engine_1t_seconds\": " << engine1_seconds << ",\n"
         << "  \"engine_1t_users_per_sec\": " << users_per_sec(engine1_seconds)
         << ",\n"
         << "  \"engine_hw_seconds\": " << engine_hw_seconds << ",\n"
         << "  \"engine_hw_users_per_sec\": "
-        << users_per_sec(engine_hw_seconds) << ",\n"
-        << "  \"guided_sequential_seconds\": " << guided_sequential_seconds
-        << ",\n"
-        << "  \"guided_sequential_users_per_sec\": "
-        << users_per_sec(guided_sequential_seconds) << ",\n"
-        << "  \"guided_perturb_seconds\": " << guided_stages.perturb_seconds
-        << ",\n"
-        << "  \"guided_prep_seconds\": "
-        << guided_stages.reconstruct_prep_seconds << ",\n"
-        << "  \"guided_reconstruct_seconds\": "
-        << guided_stages.optimal_reconstruct_seconds << ",\n"
-        << "  \"guided_other_seconds\": " << guided_stages.other_seconds
-        << ",\n"
-        << "  \"guided_poi_seconds\": " << guided_stages.poi_seconds
-        << ",\n"
-        << "  \"guided_engine_1t_seconds\": " << guided1_seconds << ",\n"
-        << "  \"guided_engine_hw_seconds\": " << guided_hw_seconds << ",\n"
-        << "  \"guided_engine_hw_users_per_sec\": "
-        << users_per_sec(guided_hw_seconds) << ",\n";
+        << users_per_sec(engine_hw_seconds) << ",\n";
     poi_gate.WriteJson(out);
     seed_gate.WriteJson(out);
     out << "  \"speedup_1t_vs_seed_loop\": " << speedup_1t_vs_seed << ",\n"
         << "  \"thread_scaling\": " << scaling << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
-        << "  \"guided_bit_identical\": "
-        << (guided_identical ? "true" : "false") << "\n"
+        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
         << "}\n";
     std::cout << "wrote " << json_path << "\n";
   }
 
-  if (!identical || !guided_identical) return 2;
+  if (!identical) return 2;
   if (!seed_gate.pass()) return 3;
   return poi_gate.pass() ? 0 : 4;
 }

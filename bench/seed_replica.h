@@ -15,6 +15,10 @@
 //  * SeedViterbi      — the DP solver with per-call vector-of-vectors
 //    parent tables and a fresh region→candidate index map per user
 //    (pre ViterbiWorkspace).
+//  * SeedPoiReconstructor — the paper's §5.6 loop: uniform candidates
+//    from the regions' boxes, accepted when feasible, γ = 50,000 tries
+//    before smoothing. It is also the reference of bench_batch_e2e's POI
+//    stage gate.
 //
 // These deliberately reproduce the allocation and recomputation behaviour
 // of the seed library; do not "fix" them.
@@ -255,18 +259,20 @@ inline StatusOr<region::RegionTrajectory> SeedViterbi(
 // vectors per call — pre slot-hoisting and pre workspace.
 class SeedPoiReconstructor {
  public:
+  /// The paper's retry cap γ (§5.6).
+  static constexpr int kGamma = 50000;
+
   SeedPoiReconstructor(const region::StcDecomposition* decomp,
-                       const model::Reachability* reach, int gamma)
+                       const model::Reachability* reach)
       : decomp_(decomp),
         reach_(reach),
-        gamma_(gamma),
         smoother_(&decomp->db(), decomp->time(), reach->config()) {}
 
   StatusOr<model::Trajectory> Reconstruct(
       const region::RegionTrajectory& regions, Rng& rng) const {
     std::vector<model::PoiId> pois;
     std::vector<model::Timestep> times;
-    for (int attempt = 0; attempt < gamma_; ++attempt) {
+    for (int attempt = 0; attempt < kGamma; ++attempt) {
       SampleCandidate(regions, rng, &pois, &times);
       if (IsFeasible(pois, times)) {
         std::vector<model::TrajectoryPoint> pts(regions.size());
@@ -323,7 +329,6 @@ class SeedPoiReconstructor {
 
   const region::StcDecomposition* decomp_;
   const model::Reachability* reach_;
-  int gamma_;
   core::TimeSmoother smoother_;
 };
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     core::NGramConfig config;
     config.epsilon = epsilon;
     config.reachability = dataset->reachability;
-    config.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+    config.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
     auto mechanism =
         core::NGramMechanism::Build(&dataset->db, dataset->time, config);
     if (!mechanism.ok()) {

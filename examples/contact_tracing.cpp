@@ -49,7 +49,7 @@ int main() {
   core::NGramConfig config;
   config.epsilon = 5.0;
   config.reachability = dataset->reachability;
-  config.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+  config.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
   // Popularity-aware merging (§5.3, Figure 2c): regions anchored by very
   // popular buildings never merge, so their hotspots survive the
   // POI-level reconstruction instead of being smeared over neighbours.

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   core::NGramConfig config;
   config.epsilon = 5.0;
   config.reachability = dataset->reachability;
-  config.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+  config.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
   auto mechanism = core::NGramMechanism::Build(&*db, dataset->time, config);
   if (!mechanism.ok()) {
     std::cerr << mechanism.status() << "\n";

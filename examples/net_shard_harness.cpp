@@ -144,8 +144,7 @@ void EncodeRelease(std::string& blob, const core::UserRelease& user) {
     PutU32(blob, static_cast<uint32_t>(p.t));
   }
   PutU64(blob, user.release.poi_attempts);
-  // 0 when not smoothed, else the SmoothingCause.
-  blob.push_back(static_cast<char>(user.release.smoothing_cause));
+  blob.push_back(user.release.smoothed ? 1 : 0);
 }
 
 Status WriteReleases(const std::string& path,
@@ -215,14 +214,9 @@ Status DecodeRelease(BlobReader& reader, core::UserRelease* user) {
   uint64_t attempts = 0;
   TRAJLDP_RETURN_NOT_OK(reader.ReadU64(&attempts));
   user->release.poi_attempts = static_cast<size_t>(attempts);
-  unsigned char cause = 0;
-  TRAJLDP_RETURN_NOT_OK(reader.Read(&cause, 1));
-  if (cause > static_cast<unsigned char>(core::SmoothingCause::kRetryCap)) {
-    return Status::InvalidArgument("release file names an unknown "
-                                   "smoothing cause");
-  }
-  user->release.smoothed = cause != 0;
-  user->release.smoothing_cause = static_cast<core::SmoothingCause>(cause);
+  unsigned char smoothed = 0;
+  TRAJLDP_RETURN_NOT_OK(reader.Read(&smoothed, 1));
+  user->release.smoothed = smoothed != 0;
   return Status::Ok();
 }
 

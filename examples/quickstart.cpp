@@ -18,7 +18,7 @@ using namespace trajldp;
 
 int main() {
   // 1. Assemble a dataset. MakeTaxiFoursquareDataset stands in for the
-  //    paper's NYC Foursquare + taxi data (see DESIGN.md).
+  //    paper's NYC Foursquare + taxi data (see docs/CALIBRATION.md).
   eval::DatasetOptions options;
   options.num_pois = 500;
   options.num_trajectories = 10;
@@ -39,7 +39,7 @@ int main() {
   config.epsilon = 5.0;  // the paper's default ε (§6.2)
   config.reachability = dataset->reachability;
   // Paper-calibrated EM sensitivity; drop this line for the strict,
-  // provably ε-LDP diameter sensitivity (see DESIGN.md).
+  // provably ε-LDP diameter sensitivity (see docs/CALIBRATION.md).
   config.quality_sensitivity = 1.0;
   auto mechanism =
       core::NGramMechanism::Build(&dataset->db, dataset->time, config);

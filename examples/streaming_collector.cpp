@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   core::NGramConfig config;
   config.epsilon = 5.0;
   config.reachability = dataset->reachability;
-  config.quality_sensitivity = 1.0;  // paper calibration (DESIGN.md)
+  config.quality_sensitivity = 1.0;  // paper calibration (docs/CALIBRATION.md)
   auto mech = core::NGramMechanism::Build(&dataset->db, dataset->time,
                                           config);
   if (!mech.ok()) {

@@ -36,4 +36,8 @@ std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
 }
 
+std::ostream& operator<<(std::ostream& os, StatusCode code) {
+  return os << StatusCodeName(code);
+}
+
 }  // namespace trajldp

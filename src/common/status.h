@@ -82,6 +82,9 @@ std::ostream& operator<<(std::ostream& os, const Status& status);
 /// Returns the canonical name of a status code ("OK", "InvalidArgument"...).
 std::string_view StatusCodeName(StatusCode code);
 
+/// Prints StatusCodeName(code), so that a failed check on a code names it.
+std::ostream& operator<<(std::ostream& os, StatusCode code);
+
 /// Propagates a non-OK status to the caller. Mirrors the RocksDB/Arrow
 /// RETURN_NOT_OK idiom.
 #define TRAJLDP_RETURN_NOT_OK(expr)          \

@@ -106,8 +106,7 @@ Status CollectorPipeline::ReconstructReportInto(size_t trajectory_len,
   TRAJLDP_RETURN_NOT_OK(
       ReconstructRegionsInto(trajectory_len, z, ws, out.regions, stages));
 
-  // Stage: POI-level resampling with time-smoothing fallback (§5.6),
-  // under the mechanism's configured policy.
+  // Stage: POI-level resampling with time-smoothing fallback (§5.6).
   Stopwatch watch;
   auto poi =
       poi_reconstructor_->Reconstruct(out.regions, collector_rng, ws.poi);
@@ -115,7 +114,6 @@ Status CollectorPipeline::ReconstructReportInto(size_t trajectory_len,
   out.trajectory = std::move(poi->trajectory);
   out.poi_attempts = poi->attempts;
   out.smoothed = poi->smoothed;
-  out.smoothing_cause = poi->smoothing_cause;
   if (stages != nullptr) {
     const double seconds = watch.ElapsedSeconds();
     stages->other_seconds += seconds;

@@ -44,12 +44,12 @@ struct StageBreakdown {
 struct FullRelease {
   model::Trajectory trajectory;
   region::RegionTrajectory regions;
-  /// Whole-trajectory POI sampling attempts used (§5.6 γ-retry loop).
+  /// §5.6 POI sampling attempts: proposals made, plus one when the exact
+  /// DP drew the trajectory (PoiReconstructor::Result::attempts).
   size_t poi_attempts = 0;
-  /// True when the §5.6 time-smoothing fallback produced the output.
+  /// True when the region sequence has no feasible (POI, timestep)
+  /// assignment and the §5.6 time-smoothing fallback produced the output.
   bool smoothed = false;
-  /// Why it did; kNone exactly when `smoothed` is false.
-  SmoothingCause smoothing_cause = SmoothingCause::kNone;
 
   bool operator==(const FullRelease&) const = default;
 };
@@ -113,11 +113,7 @@ class CollectorPipeline {
   static constexpr uint64_t kCollectorStream = 0x636F6C6C6563746FULL;
 
   /// All pointees must outlive the pipeline. Usually obtained from
-  /// NGramMechanism::pipeline() rather than assembled by hand. The §5.6
-  /// POI sampling policy is `poi_reconstructor`'s configured one (see
-  /// PoiPolicy — both policies draw from the same conditional
-  /// distribution; only rejection mode is draw-for-draw bit-compatible
-  /// with the paper loop).
+  /// NGramMechanism::pipeline() rather than assembled by hand.
   CollectorPipeline(const region::StcDecomposition* decomp,
                     const region::RegionDistance* distance,
                     const region::RegionGraph* graph,

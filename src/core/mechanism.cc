@@ -40,7 +40,7 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   mech.reachability_ = std::make_unique<model::Reachability>(
       db, time, config.reachability);
   mech.poi_reconstructor_ = std::make_unique<PoiReconstructor>(
-      mech.decomp_.get(), mech.reachability_.get(), config.poi);
+      mech.decomp_.get(), mech.reachability_.get());
   mech.preprocessing_seconds_ = preprocessing.ElapsedSeconds();
   return mech;
 }

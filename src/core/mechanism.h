@@ -31,17 +31,13 @@ struct NGramConfig {
   region::DecompositionConfig decomposition;
   /// Reachability constraint θ (§4.1).
   model::ReachabilityConfig reachability;
-  /// POI-level reconstruction settings (§5.6), including the collector
-  /// sampling policy (rejection vs guided — see PoiPolicy). This is the
-  /// one place the policy is chosen.
-  PoiReconstructor::Config poi;
   /// Optional padding of the R_mbr candidate rectangle, in km.
   double mbr_expand_km = 0.0;
   /// EM quality sensitivity Δd_w. 0 (default) = the strict value
   /// n × (region-distance diameter) for which the ε-LDP proof holds.
   /// Setting 1.0 reproduces the paper's published error magnitudes
-  /// ("paper calibration"; see NgramDomain and DESIGN.md). Build()
-  /// rejects negative, NaN and infinite values.
+  /// ("paper calibration"; see NgramDomain and docs/CALIBRATION.md).
+  /// Build() rejects negative, NaN and infinite values.
   double quality_sensitivity = 0.0;
 };
 
@@ -87,11 +83,10 @@ class NGramMechanism {
       const region::RegionTrajectory& tau, Rng& rng,
       PipelineWorkspace* ws = nullptr, StageBreakdown* stages = nullptr) const;
 
-  /// The reusable per-user pipeline over this mechanism's components,
-  /// running the configured POI policy (NGramConfig::poi.policy — the
-  /// one place it is chosen). Cheap to copy (a bundle of const
-  /// pointers); stays valid across moves of this mechanism (components
-  /// are heap-owned) but not past its destruction.
+  /// The reusable per-user pipeline over this mechanism's components.
+  /// Cheap to copy (a bundle of const pointers); stays valid across moves
+  /// of this mechanism (components are heap-owned) but not past its
+  /// destruction.
   CollectorPipeline pipeline() const;
 
   const NGramConfig& config() const { return config_; }

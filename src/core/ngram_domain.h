@@ -220,7 +220,8 @@ StatusOr<std::vector<uint32_t>> SamplePathEm(
 /// distance units for a city) would give a ~30× flatter distribution than
 /// the paper reports. The reproduction benches therefore run with
 /// sensitivity_override = 1 ("paper calibration"), while the library
-/// default stays strict; see DESIGN.md §"Sensitivity calibration".
+/// default stays strict; see docs/CALIBRATION.md §Sensitivity
+/// calibration.
 ///
 /// ### Weight-row cache
 ///

@@ -1,7 +1,7 @@
 #include "core/poi_reconstructor.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 
 namespace trajldp::core {
 
@@ -19,14 +19,25 @@ model::Trajectory MakeTrajectory(const std::vector<PoiId>& pois,
   return model::Trajectory(std::move(pts));
 }
 
+// Keeps a DP level's counts far from overflow: when its largest entry
+// `max` passes 2^256, scales its `n` cells by 2^−ilogb(max). A power of
+// two scales exactly, so counts stay exact below 2^53, a zero stays zero,
+// and the ratios within the level, all a draw reads, are unchanged.
+// Returns the exponent taken out (0 when none was).
+int Rescale(double* cells, size_t n, double max) {
+  if (max <= 0x1p256) return 0;
+  const int shift = std::ilogb(max);
+  const double scale = std::ldexp(1.0, -shift);
+  for (size_t c = 0; c < n; ++c) cells[c] *= scale;
+  return shift;
+}
+
 }  // namespace
 
 PoiReconstructor::PoiReconstructor(const region::StcDecomposition* decomp,
-                                   const model::Reachability* reach,
-                                   Config config)
+                                   const model::Reachability* reach)
     : decomp_(decomp),
       reach_(reach),
-      config_(config),
       smoother_(&decomp->db(), decomp->time(), reach->config()) {}
 
 void PoiReconstructor::SampleCandidate(const std::vector<Slot>& slots,
@@ -42,154 +53,17 @@ void PoiReconstructor::SampleCandidate(const std::vector<Slot>& slots,
   }
 }
 
-bool PoiReconstructor::TryAttempt(const std::vector<Slot>& slots, Rng& rng,
-                                  Workspace& ws) const {
-  // Every word is drawn before any is checked: the next attempt starts
-  // after all of them, whatever this one's verdict. The draws run on a
-  // local copy, whose state the compiler can keep in registers (stores
-  // through `words` could alias the caller's).
-  uint64_t* words = ws.words.data();
-  Rng local = rng;
-  for (const Slot& slot : slots) {
-    *words++ = local.NextAccepted(slot.poi_threshold);
-    *words++ = local.NextAccepted(slot.time_threshold);
-  }
-  rng = local;
-  const model::TimeDomain& time = decomp_->time();
-  const model::PoiDatabase& db = decomp_->db();
-  words = ws.words.data();
-  size_t prev_k = 0;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const Slot& slot = slots[i];
-    const Timestep t =
-        slot.first + static_cast<Timestep>(words[2 * i + 1] % slot.num_times);
-    if (i > 0 && t <= ws.times[i - 1]) return false;
-    const size_t k = words[2 * i] % slot.num_pois;
-    const PoiId p = slot.pois[k];
-    if (!db.poi(p).hours.IsOpenAtMinute(time.TimestepToMinute(t))) {
-      return false;
-    }
-    // Same-day gaps are below |T|, so kUnreachableGap never passes.
-    if (i > 0 && t - ws.times[i - 1] < MinGap(slots, i, prev_k, k, ws)) {
-      return false;
-    }
-    ws.pois[i] = p;
-    ws.times[i] = t;
-    prev_k = k;
-  }
-  return true;
-}
-
-void PoiReconstructor::ReplayAttempts(const std::vector<Slot>& slots,
-                                      size_t attempts, Rng& rng) {
-  Rng local = rng;  // kept in registers, as in TryAttempt
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    for (const Slot& slot : slots) {
-      local.NextAccepted(slot.poi_threshold);
-      local.NextAccepted(slot.time_threshold);
-    }
-  }
-  rng = local;
-}
-
-bool PoiReconstructor::HasFeasibleAssignment(const std::vector<Slot>& slots,
-                                             Workspace& ws) const {
-  // E_i(k) = the earliest timestep at which a feasible prefix of slots
-  // 0..i ends at POI k of slot i. θ is nondecreasing in the gap, so the
-  // earliest end at a POI admits every extension a later end there
-  // does, and F is non-empty iff the last layer has a finite entry.
-  // E_i(k) is the first open timestep of slot i's window that is at or
-  // after min_j (E_{i−1}(j) + min_gap(j, k)); min_gap ≥ 1 makes it
-  // strictly later, exactly the loop's checks.
-  constexpr Timestep kNoTime = std::numeric_limits<Timestep>::max();
-  const model::TimeDomain& time = decomp_->time();
-  const model::PoiDatabase& db = decomp_->db();
-  std::vector<Timestep>& earliest = ws.earliest;
-  std::vector<Timestep>& next = ws.next_earliest;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const Slot& slot = slots[i];
-    next.assign(slot.num_pois, kNoTime);
-    bool any = false;
-    for (size_t k = 0; k < slot.num_pois; ++k) {
-      Timestep lo = slot.first;
-      if (i > 0) {
-        Timestep reach_at = kNoTime;
-        // Stop once no later POI can move lo below the window's start.
-        for (size_t j = 0; j < slots[i - 1].num_pois && reach_at > lo; ++j) {
-          if (earliest[j] == kNoTime) continue;
-          reach_at = std::min<Timestep>(
-              reach_at, earliest[j] + MinGap(slots, i, j, k, ws));
-        }
-        lo = std::max(lo, reach_at);
-      }
-      const model::OpeningHours& hours = db.poi(slot.pois[k]).hours;
-      for (Timestep t = lo; t <= slot.last; ++t) {
-        if (hours.IsOpenAtMinute(time.TimestepToMinute(t))) {
-          next[k] = t;
-          any = true;
-          break;
-        }
-      }
-      // The last slot only needs one finite entry.
-      if (any && i + 1 == slots.size()) return true;
-    }
-    if (!any) return false;
-    std::swap(earliest, next);
-  }
-  return true;
-}
-
-size_t PoiReconstructor::RejectionLoop(const std::vector<Slot>& slots,
-                                       Rng& rng, Workspace& ws,
-                                       SmoothingCause* cause) const {
-  *cause = SmoothingCause::kNone;
-  ws.pois.resize(slots.size());
-  ws.times.resize(slots.size());
-  ws.words.resize(2 * slots.size());
-  // The feasibility DP's pair count: the memo's pairs plus the first
-  // slot's POIs, each paired with one virtual start.
-  const size_t pairs = slots.front().num_pois + ws.min_gaps.size();
-
-  // The DP runs once the loop has made as many attempts as the DP has
-  // pairs (each far cheaper than an attempt): a user accepted sooner
-  // never pays for it, and none pays more than about double.
-  const size_t gamma = static_cast<size_t>(std::max(config_.gamma, 0));
-  const size_t certify_at = std::min(pairs, gamma);
-  size_t attempt = 0;
-  for (; attempt < certify_at; ++attempt) {
-    if (TryAttempt(slots, rng, ws)) return attempt + 1;
-  }
-  if (!HasFeasibleAssignment(slots, ws)) {
-    // Every remaining attempt would be rejected: only the generator
-    // state they leave behind matters.
-    ReplayAttempts(slots, gamma - attempt, rng);
-    *cause = SmoothingCause::kEmptyFeasibleSet;
-    return gamma;
-  }
-  for (; attempt < gamma; ++attempt) {
-    if (TryAttempt(slots, rng, ws)) return attempt + 1;
-  }
-  *cause = SmoothingCause::kRetryCap;
-  return gamma;
-}
-
 bool PoiReconstructor::BuildGuidedDp(const std::vector<Slot>& slots,
                                      Workspace& ws) const {
   const size_t num_slots = slots.size();
 
   // Windowed SoA layout: level i stores only its [first, last] interval
   // (width w_i), as a counts block plus a suffix block of w_i + 1, each
-  // starting on its own cache line. The old dense [levels × |T|] tables
-  // were ~97% structural zeros on real worlds (a region spans one time
-  // stripe); trimming them shrinks the DP from O(levels·|T|) to
-  // O(Σ w_i) touched memory. Values stay bit-identical: every trimmed
-  // cell held +0.0, and x + 0.0 == x exactly for the non-negative
-  // doubles these tables hold, so the windowed suffix sums equal the
-  // dense ones bit for bit.
+  // starting on its own cache line (a region spans one time stripe, so a
+  // dense [levels × |T|] table would be mostly zeros).
   size_t bytes = 0;
   for (const Slot& slot : slots) {
-    // An empty time window admits no assignment at all (the dense DP
-    // reached the same verdict through a zero level_max).
+    // An empty time window admits no assignment at all.
     if (slot.last < slot.first) return false;
     const size_t w = static_cast<size_t>(slot.last - slot.first) + 1;
     bytes += AlignedArena::BytesFor<double>(w) +
@@ -206,10 +80,8 @@ bool PoiReconstructor::BuildGuidedDp(const std::vector<Slot>& slots,
 
   // Backward over positions: counts[i][j] = number of strictly
   // increasing completions (t_i = first_i + j, t_{i+1} > t_i, …) with
-  // every t_j in its slot interval. Each level is normalised by its
-  // maximum so the doubles never overflow for long trajectories;
-  // scaling a whole level by a constant leaves the within-level
-  // sampling ratios — the only thing the sampler reads — exact.
+  // every t_j in its slot interval, rescaled per level (Rescale) so the
+  // doubles never overflow for long trajectories.
   for (size_t ri = 0; ri < num_slots; ++ri) {
     const size_t i = num_slots - 1 - ri;
     const Slot& slot = slots[i];
@@ -242,9 +114,7 @@ bool PoiReconstructor::BuildGuidedDp(const std::vector<Slot>& slots,
     // No timestep at this position admits any completion: the region
     // sequence has no strictly increasing time assignment at all.
     if (level_max == 0.0) return false;
-    if (level_max > 1e200) {
-      for (size_t j = 0; j < w; ++j) counts[j] /= level_max;
-    }
+    Rescale(counts, w, level_max);
     suffix[w] = 0.0;
     for (size_t j = w; j-- > 0;) {
       suffix[j] = suffix[j + 1] + counts[j];
@@ -268,8 +138,7 @@ bool PoiReconstructor::SampleGuided(const std::vector<Slot>& slots,
     const double* suffix = ws.level_suffix[i];
     const Timestep lo =
         std::max<Timestep>(slot.first, prev_t + 1);
-    // lo past the window means no in-window timestep is left (the dense
-    // DP read a 0.0 suffix there and rejected the same way).
+    // lo past the window means no in-window timestep is left.
     if (lo > slot.last) return false;
     // The DP conditioned earlier picks on completions existing, so the
     // remaining mass is positive whenever the prefix was sampled from it.
@@ -291,7 +160,7 @@ bool PoiReconstructor::SampleGuided(const std::vector<Slot>& slots,
 
     const size_t k = rng.UniformUint64(slot.num_pois);
     const PoiId p = slot.pois[k];
-    // Per-step feasibility: reject the attempt as soon as a step fails
+    // Per-step feasibility: reject the proposal as soon as a step fails
     // (equivalent to rejecting the fully drawn candidate — rejection is
     // rejection whenever detected — but never pays for the undrawn tail).
     if (!decomp_->db().poi(p).hours.IsOpenAtMinute(
@@ -309,14 +178,126 @@ bool PoiReconstructor::SampleGuided(const std::vector<Slot>& slots,
   return true;
 }
 
-StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
-    const region::RegionTrajectory& regions, Rng& rng) const {
-  Workspace ws;
-  return Reconstruct(regions, rng, ws);
+double PoiReconstructor::CountDp(Workspace& ws) const {
+  // C_0(k, t) = open(k, t), and for i > 0
+  //   C_i(k, t) = open(k, t) · Σ_j S_{i−1}(j, min(t − g(j, k), b_{i−1})),
+  // where S is the prefix sum of C over the window [a, b] (0 below a) and
+  // g the pair's min gap: a prefix ending at (j, t′) extends to (k, t)
+  // iff t′ ≤ t − g(j, k), and g ≥ 1 keeps times strictly increasing.
+  // Only S is stored; C(k, t) = S(k, t) − S(k, t − 1) is exactly 0 where
+  // the count is, since adding 0.0 is exact. Each position is rescaled
+  // (Rescale), and `exponent` keeps what was taken out.
+  const std::vector<Slot>& slots = ws.slots;
+  const Slot& tail = slots.back();
+  const size_t cells = tail.prefix_offset + tail.num_pois * tail.num_times;
+  if (ws.prefix.size() < cells) ws.prefix.resize(cells);
+  const model::TimeDomain& time = decomp_->time();
+  const model::PoiDatabase& db = decomp_->db();
+  int exponent = 0;  // |F| = Σ_k S_{L−1}(k, b) · 2^exponent
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Slot& slot = slots[i];
+    const size_t w = slot.num_times;
+    double* layer = ws.prefix.data() + slot.prefix_offset;
+    double layer_max = 0.0;
+    for (size_t k = 0; k < slot.num_pois; ++k) {
+      double* row = layer + k * w;
+      std::fill(row, row + w, i == 0 ? 1.0 : 0.0);
+      if (i > 0) {
+        const Slot& prev = slots[i - 1];
+        const double* prev_layer = ws.prefix.data() + prev.prefix_offset;
+        for (size_t j = 0; j < prev.num_pois; ++j) {
+          const double* from = prev_layer + j * prev.num_times;
+          const double whole = from[prev.num_times - 1];
+          if (whole == 0.0) continue;  // no feasible prefix ends at j
+          // t reads S(j, t − g) while t − g is in j's window, and the
+          // window's whole sum after it. kUnreachableGap reads nothing.
+          const Timestep g = MinGap(slots, i, j, k, ws);
+          const Timestep lo = std::max(slot.first, prev.first + g);
+          const Timestep inside = std::min(slot.last, prev.last + g);
+          for (Timestep t = lo; t <= inside; ++t) {
+            row[t - slot.first] += from[t - g - prev.first];
+          }
+          for (Timestep t = std::max(lo, inside + 1); t <= slot.last; ++t) {
+            row[t - slot.first] += whole;
+          }
+        }
+      }
+      const model::OpeningHours& hours = db.poi(slot.pois[k]).hours;
+      double sum = 0.0;
+      for (size_t d = 0; d < w; ++d) {
+        if (row[d] != 0.0 &&
+            hours.IsOpenAtMinute(time.TimestepToMinute(
+                slot.first + static_cast<Timestep>(d)))) {
+          sum += row[d];
+        }
+        row[d] = sum;
+      }
+      layer_max = std::max(layer_max, sum);
+    }
+    // No feasible prefix ends at this position: F is empty.
+    if (layer_max == 0.0) return 0.0;
+    exponent += Rescale(layer, slot.num_pois * w, layer_max);
+  }
+  double total = 0.0;
+  const double* last_layer = ws.prefix.data() + tail.prefix_offset;
+  for (size_t k = 0; k < tail.num_pois; ++k) {
+    total += last_layer[k * tail.num_times + tail.num_times - 1];
+  }
+  return std::ldexp(total, exponent);
 }
 
-StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
-    const region::RegionTrajectory& regions, Rng& rng, Workspace& ws) const {
+void PoiReconstructor::DrawDp(Workspace& ws, Rng& rng) const {
+  const std::vector<Slot>& slots = ws.slots;
+  ws.pois.resize(slots.size());
+  ws.times.resize(slots.size());
+  // Draws (k, t) ∝ C_i(k, t) over t ≤ bound(k) at position i. The mass
+  // of POI k is S_i(k, min(bound(k), b)); the last POI with mass absorbs
+  // the floating-point remainder of the pick.
+  const auto pick = [&](size_t i, const auto& bound) {
+    const Slot& slot = slots[i];
+    const double* layer = ws.prefix.data() + slot.prefix_offset;
+    const auto last_index = [&](size_t k) -> ptrdiff_t {
+      return std::min(bound(k), slot.last) - slot.first;
+    };
+    const auto mass = [&](size_t k) {
+      const ptrdiff_t end = last_index(k);
+      return end < 0 ? 0.0 : layer[k * slot.num_times + end];
+    };
+    double total = 0.0;
+    for (size_t k = 0; k < slot.num_pois; ++k) total += mass(k);
+    double r = rng.UniformDouble() * total;
+    size_t k_pick = 0;
+    for (size_t k = 0; k < slot.num_pois; ++k) {
+      const double m = mass(k);
+      if (m <= 0.0) continue;
+      k_pick = k;
+      if (r < m) break;
+      r -= m;
+    }
+    // The first t whose prefix sum exceeds r has C(k, t) > 0; when
+    // rounding left r at or past the mass, the t where the sum last rose.
+    const double* row = layer + k_pick * slot.num_times;
+    const double* end = row + last_index(k_pick) + 1;
+    const double* at = std::upper_bound(row, end, r);
+    if (at == end) at = std::lower_bound(row, end, end[-1]);
+    ws.pois[i] = slot.pois[k_pick];
+    ws.times[i] = slot.first + static_cast<Timestep>(at - row);
+    return k_pick;
+  };
+  size_t i = slots.size() - 1;
+  size_t k = pick(i, [&](size_t) { return slots[i].last; });
+  while (i-- > 0) {
+    // Position i's prefixes that reach (k, t_{i+1}).
+    const Timestep next_t = ws.times[i + 1];
+    const size_t next_k = k;
+    k = pick(i, [&](size_t j) -> Timestep {
+      return next_t - MinGap(slots, i + 1, j, next_k, ws);
+    });
+  }
+}
+
+Status PoiReconstructor::Prepare(const region::RegionTrajectory& regions,
+                                 Workspace& ws) const {
   if (regions.empty()) {
     return Status::InvalidArgument("region trajectory is empty");
   }
@@ -325,17 +306,10 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
       return Status::InvalidArgument("region id out of range");
     }
   }
-
-  Result result;
-  std::vector<PoiId>& pois = ws.pois;
-  std::vector<Timestep>& times = ws.times;
-
-  // Hoist the per-position sampling bounds: the regions are fixed for the
-  // whole retry loop, so resolve POI lists, timestep intervals, draw
-  // thresholds and the min-gap memo once.
   const model::TimeDomain& time = decomp_->time();
   ws.slots.resize(regions.size());
   size_t memo_offset = 0;
+  size_t prefix_offset = 0;
   for (size_t i = 0; i < regions.size(); ++i) {
     const region::StcRegion& r = decomp_->region(regions[i]);
     Slot& slot = ws.slots[i];
@@ -344,55 +318,71 @@ StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
     slot.first = time.MinuteToTimestep(r.time.begin);
     slot.last = time.MinuteToTimestep(r.time.end - 1);
     slot.num_times = static_cast<uint64_t>(slot.last - slot.first + 1);
-    slot.poi_threshold = Rng::RejectionThreshold(slot.num_pois);
-    slot.time_threshold = Rng::RejectionThreshold(slot.num_times);
     if (i > 0) {
       slot.memo_offset = memo_offset;
       memo_offset += ws.slots[i - 1].num_pois * slot.num_pois;
     }
+    slot.prefix_offset = prefix_offset;
+    prefix_offset += slot.num_pois * slot.num_times;
   }
   ws.min_gaps.assign(memo_offset, 0);
-  const std::vector<Slot>& slots = ws.slots;
+  return Status::Ok();
+}
 
-  if (config_.policy == PoiPolicy::kGuided) {
-    // Guided draws use their own substream so the collector stream `rng`
-    // stays untouched: a fallback below replays the rejection policy
-    // bit-for-bit, and rejection-mode consumers never see guided draws.
-    Rng guided_rng = rng.Substream(kGuidedStream);
-    if (BuildGuidedDp(slots, ws)) {
-      for (int attempt = 0; attempt < kGuidedAttempts; ++attempt) {
-        ++result.attempts;
-        if (SampleGuided(slots, ws, guided_rng, &pois, &times)) {
-          result.trajectory = MakeTrajectory(pois, times);
-          return result;
-        }
+StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
+    const region::RegionTrajectory& regions, Rng& rng) const {
+  Workspace ws;
+  return Reconstruct(regions, rng, ws);
+}
+
+StatusOr<PoiReconstructor::Result> PoiReconstructor::Reconstruct(
+    const region::RegionTrajectory& regions, Rng& rng, Workspace& ws) const {
+  TRAJLDP_RETURN_NOT_OK(Prepare(regions, ws));
+  const std::vector<Slot>& slots = ws.slots;
+  Result result;
+  if (BuildGuidedDp(slots, ws)) {
+    for (int attempt = 0; attempt < kGuidedAttempts; ++attempt) {
+      ++result.attempts;
+      if (SampleGuided(slots, ws, rng, &ws.pois, &ws.times)) {
+        result.trajectory = MakeTrajectory(ws.pois, ws.times);
+        return result;
       }
     }
-    // Every guided proposal failed (or no increasing time tuple exists):
-    // fall back to the full legacy rejection loop rather than silently
-    // emitting anything the guided proposal could not certify. `rng` has
-    // consumed nothing yet, so from here the outcome is bit-identical to
-    // the kRejection policy.
-    result.guided_fallback = true;
   }
-
-  SmoothingCause cause = SmoothingCause::kNone;
-  result.attempts += RejectionLoop(slots, rng, ws, &cause);
-  if (cause == SmoothingCause::kNone) {
-    result.trajectory = MakeTrajectory(pois, times);
+  // Every proposal failed, or no increasing time tuple exists: the DP
+  // draws exactly from F, or proves it empty.
+  if (CountDp(ws) > 0.0) {
+    ++result.attempts;
+    DrawDp(ws, rng);
+    result.trajectory = MakeTrajectory(ws.pois, ws.times);
     return result;
   }
 
-  // Sampling failed: fix one sequence and smooth its times (§5.6). Sort
-  // the sampled times first so the smoother shifts as little as possible.
-  SampleCandidate(slots, rng, &pois, &times);
-  std::sort(times.begin(), times.end());
-  auto smoothed = smoother_.Smooth(pois, times);
+  // F is empty: fix one sequence and smooth its times (§5.6). Sort the
+  // sampled times first so the smoother shifts as little as possible.
+  SampleCandidate(slots, rng, &ws.pois, &ws.times);
+  std::sort(ws.times.begin(), ws.times.end());
+  auto smoothed = smoother_.Smooth(ws.pois, ws.times);
   if (!smoothed.ok()) return smoothed.status();
-  result.trajectory = MakeTrajectory(pois, *smoothed);
+  result.trajectory = MakeTrajectory(ws.pois, *smoothed);
   result.smoothed = true;
-  result.smoothing_cause = cause;
   return result;
+}
+
+StatusOr<double> PoiReconstructor::CountFeasible(
+    const region::RegionTrajectory& regions, Workspace& ws) const {
+  TRAJLDP_RETURN_NOT_OK(Prepare(regions, ws));
+  return CountDp(ws);
+}
+
+StatusOr<model::Trajectory> PoiReconstructor::DrawFeasible(
+    const region::RegionTrajectory& regions, Rng& rng, Workspace& ws) const {
+  TRAJLDP_RETURN_NOT_OK(Prepare(regions, ws));
+  if (CountDp(ws) == 0.0) {
+    return Status::FailedPrecondition("the feasible set is empty");
+  }
+  DrawDp(ws, rng);
+  return MakeTrajectory(ws.pois, ws.times);
 }
 
 }  // namespace trajldp::core

@@ -14,177 +14,94 @@
 
 namespace trajldp::core {
 
-/// \brief Collector-side POI sampling policy (§5.6), chosen once per
-/// mechanism by NGramConfig::poi.policy (PoiReconstructor::Config::policy)
-/// and run by every pipeline, engine and collector built from it.
-///
-/// Both policies draw from the SAME distribution — uniform over the
-/// feasible (POI, timestep) assignments of the region sequence — and
-/// differ only in how many proposals that costs
-/// (tests/sampling_fidelity_test.cc holds them statistically
-/// indistinguishable; docs/POI_SAMPLING.md derives why):
-///
-///  * kRejection — the paper's γ-retry loop: propose uniformly from the
-///    per-position boxes, accept when feasible. Bit-exact legacy
-///    behaviour; every draw comes from the collector stream.
-///  * kGuided — propose uniformly over the *increasing-time* superset of
-///    the feasible set (a per-trajectory counting DP samples the time
-///    tuple exactly uniformly; POIs stay uniform per position), check
-///    openness/reachability per step against the per-user min-gap memo
-///    the rejection loop also reads, accept when feasible. Same accept
-///    region, so the accepted distribution is identical, but the dominant
-///    rejection cause — unordered times — is gone by construction. Guided
-///    draws live on their own substream of the collector stream; when
-///    every guided attempt fails, the policy falls back to the full legacy
-///    rejection loop on the *untouched* collector stream, making the
-///    fallback output bit-identical to what kRejection would have
-///    produced.
-enum class PoiPolicy : uint8_t {
-  kRejection = 0,
-  kGuided = 1,
-};
-
-/// \brief Why the §5.6 smoothing fallback produced a release.
-enum class SmoothingCause : uint8_t {
-  /// Not smoothed: a sampled candidate was accepted.
-  kNone = 0,
-  /// The feasible set F is empty: no (POI, timestep) assignment of the
-  /// region sequence meets time order, opening hours and reachability,
-  /// so no number of attempts could have succeeded.
-  kEmptyFeasibleSet = 1,
-  /// F is not empty, but γ attempts missed it.
-  kRetryCap = 2,
-};
-
 /// \brief POI-level trajectory reconstruction (§5.6, Figure 1 step 4).
 ///
 /// Converts an optimal STC region sequence back into a concrete
-/// (POI, timestep) trajectory: sample a candidate uniformly within each
-/// region, keep it if it is feasible (strictly increasing times, every
-/// POI open, consecutive points reachable), and retry up to γ times.
-/// When sampling fails — the perturbed region sequence corresponds to no
-/// feasible trajectory — fix one sampled sequence and smooth its
-/// timesteps (TimeSmoother), exactly as the paper prescribes.
+/// (POI, timestep) trajectory drawn uniformly from its feasible set F: the
+/// assignments from the regions' POI × timestep boxes whose times strictly
+/// increase, whose POIs are open, and whose consecutive points are
+/// reachable. One path, every draw from the caller's collector stream:
 ///
-/// The retry loop pays only for what its output depends on, with every
-/// release, attempt count and generator end state equal to the paper
-/// loop's (docs/POI_SAMPLING.md §What an attempt costs):
+///  1. up to kGuidedAttempts proposals, each uniform over the assignments
+///     with increasing times (a counting DP over timesteps draws the time
+///     tuple; POIs are uniform per position), accepted when feasible;
+///  2. when all of them fail, a counting DP over (position, POI, timestep)
+///     states either proves F empty or draws one member of F uniformly.
 ///
-///  * an attempt draws its 2L words as SampleCandidate would, then
-///    reduces them modulo their bounds only as far as the feasibility
-///    checks go, reading reachability from a per-user min-gap memo;
-///  * once the loop has spent as many attempts as a forward DP over the
-///    user's (POI, earliest timestep) states costs, the DP decides
-///    whether the feasible set is empty. When it is, the remaining
-///    attempts can only be rejected, so they are replayed as bare
-///    generator steps.
+/// An accepted proposal and a DP draw are both uniform over F, so every
+/// release whose F is not empty follows §5.6's target law, with no retry
+/// cap. Only when F is empty is one sequence drawn from the boxes and its
+/// timesteps smoothed (TimeSmoother), as the paper prescribes
+/// (docs/POI_SAMPLING.md).
 class PoiReconstructor {
  public:
-  /// Substream tag separating guided-policy draws from the collector
-  /// stream, so the legacy rejection draw sequence is untouched by the
-  /// policy choice (and the guided→rejection fallback replays exactly).
-  static constexpr uint64_t kGuidedStream = 0x677569646564ULL;  // "guided"
-
-  /// Whole-trajectory guided proposals before the guided policy falls
-  /// back to the legacy rejection loop (it must never silently give up:
-  /// a world the guided proposal handles badly still gets the full
-  /// γ-retry + smoothing treatment, on the rejection stream).
+  /// Proposals before the DP. On the lattice one or two are accepted, so
+  /// its users never pay for the DP (about 50 µs each, 20× the stage).
   static constexpr int kGuidedAttempts = 64;
 
-  /// Per-position sampling bounds, hoisted out of the γ-retry loop: the
-  /// region a position draws from never changes across attempts, so its
-  /// POI list, timestep interval and draw thresholds are resolved once
-  /// per trajectory.
+  /// Per-position sampling bounds, resolved once per trajectory: the
+  /// region's POI list and timestep window.
   struct Slot {
     const model::PoiId* pois = nullptr;
     size_t num_pois = 0;
     model::Timestep first = 0;
     model::Timestep last = 0;
-    /// Window width, last − first + 1: the bound of the timestep draw.
+    /// Window width, last − first + 1.
     uint64_t num_times = 0;
-    /// Rng::RejectionThreshold of num_pois and of num_times.
-    uint64_t poi_threshold = 0;
-    uint64_t time_threshold = 0;
     /// Start of the (previous slot's POI, this slot's POI) block in
     /// Workspace::min_gaps; unused for the first slot.
     size_t memo_offset = 0;
+    /// Start of this slot's num_pois × num_times block in
+    /// Workspace::prefix.
+    size_t prefix_offset = 0;
   };
 
   /// \brief Per-thread sampling scratch: the candidate (POI, timestep)
-  /// buffers every rejection-sampling attempt writes into, the hoisted
-  /// per-position slots, the per-user min-gap memo both samplers read,
-  /// the rejection loop's feasibility DP, and the guided sampler's
-  /// time-counting DP tables.
-  /// Reusing one workspace across users makes the γ-retry loop
-  /// allocation-free (the output trajectory itself is still allocated —
-  /// it is the product).
+  /// buffers, the hoisted slots, the per-user min-gap memo, and both
+  /// counting DPs' tables. Reusing one workspace across users keeps the
+  /// stage allocation-free once the buffers reach steady state (the
+  /// output trajectory itself is still allocated — it is the product).
   struct Workspace {
     std::vector<model::PoiId> pois;
     std::vector<model::Timestep> times;
     std::vector<Slot> slots;
-    /// One attempt's raw words, in draw order: POI then timestep, per
-    /// position.
-    std::vector<uint64_t> words;
     /// Min-gap memo of the user's consecutive POI pairs: entry
     /// slots[i].memo_offset + j · slots[i].num_pois + k holds
     /// model::MinReachableGap between POI j of slot i − 1 and POI k of
     /// slot i, or 0 until first use. Σ_i |P(r_{i−1})| · |P(r_i)| entries,
-    /// sized once per user and shared by both samplers, so a guided →
-    /// rejection fallback reuses the entries guided proposals filled.
+    /// sized once per user and read by the proposals and the DP alike.
     std::vector<uint16_t> min_gaps;
-    /// Feasibility DP layers: the earliest timestep a feasible prefix can
-    /// end at each POI of the previous and of the current slot.
-    std::vector<model::Timestep> earliest;
-    std::vector<model::Timestep> next_earliest;
-    /// Guided DP scratch: one cache-line-aligned block pair per level,
-    /// windowed to that level's [first, last] timestep interval instead
-    /// of the full |T| grid (levels are sparse in practice — a region
-    /// covers one time stripe). level_counts[i][j] = number of strictly-
-    /// increasing completions with t_i = slots[i].first + j (per-level
-    /// normalised); level_suffix[i][j] = Σ_{j' ≥ j} level_counts[i][j'],
-    /// one extra trailing 0 entry. Values are bit-identical to the old
-    /// dense [levels × |T|] tables (the trimmed cells only ever added
-    /// +0.0); only the footprint and stride change — see BuildGuidedDp.
+    /// Exact DP: entry slots[i].prefix_offset + k · num_times + (t − first)
+    /// holds S_i(k, t), the number of feasible prefixes of positions
+    /// 0..i that end at POI k of slot i at some timestep ≤ t, scaled per
+    /// position by a power of two (see CountDp). Grown, never shrunk.
+    std::vector<double> prefix;
+    /// Proposal DP scratch: one cache-line-aligned block pair per level,
+    /// windowed to that level's [first, last] timestep interval.
+    /// level_counts[i][j] = number of strictly increasing completions
+    /// with t_i = slots[i].first + j (rescaled per level);
+    /// level_suffix[i][j] = Σ_{j' ≥ j} level_counts[i][j'], one extra
+    /// trailing 0 entry. See BuildGuidedDp.
     AlignedArena dp_arena;
     std::vector<double*> level_counts;
     std::vector<double*> level_suffix;
   };
 
-  struct Config {
-    /// γ: the retry threshold; 50,000 per §5.6. The paper calls the cap
-    /// rarely reached, but on the benchmark city 45% of users reach it:
-    /// 37% because their feasible set is empty, 8% with a non-empty one
-    /// (docs/POI_SAMPLING.md).
-    int gamma = 50000;
-    /// Which sampler runs first. kRejection reproduces the paper's
-    /// mechanism draw-for-draw; kGuided is the accelerated policy with
-    /// identical output distribution (see PoiPolicy).
-    PoiPolicy policy = PoiPolicy::kRejection;
-  };
-
   /// All pointees must outlive this object.
   PoiReconstructor(const region::StcDecomposition* decomp,
-                   const model::Reachability* reach, Config config);
+                   const model::Reachability* reach);
 
   struct Result {
     model::Trajectory trajectory;
-    /// Number of whole-trajectory sampling attempts used (guided
-    /// proposals and rejection attempts both count).
+    /// Proposals made, plus one when the DP drew the trajectory.
     size_t attempts = 0;
-    /// True when the smoothing fallback produced the output. Smoothed
-    /// outputs guarantee time order and reachability but may leave a
-    /// region's time interval (§5.6).
+    /// True when F is empty and the smoothing fallback produced the
+    /// output. Smoothed outputs guarantee time order and reachability but
+    /// may leave a region's time interval (§5.6).
     bool smoothed = false;
-    /// Why the output was smoothed; kNone exactly when `smoothed` is
-    /// false.
-    SmoothingCause smoothing_cause = SmoothingCause::kNone;
-    /// True when the guided policy exhausted its proposals (or proved no
-    /// increasing time tuple exists) and ran the legacy rejection loop.
-    bool guided_fallback = false;
   };
 
-  /// Reconstructs a POI-level trajectory for `regions` under the
-  /// configured policy.
+  /// Reconstructs a POI-level trajectory for `regions`.
   StatusOr<Result> Reconstruct(const region::RegionTrajectory& regions,
                                Rng& rng) const;
 
@@ -194,49 +111,46 @@ class PoiReconstructor {
   StatusOr<Result> Reconstruct(const region::RegionTrajectory& regions,
                                Rng& rng, Workspace& ws) const;
 
-  /// Advances `rng` exactly as `attempts` rejected attempts over `slots`
-  /// would (each draws, per slot, UniformUint64(num_pois) then
-  /// UniformUint64(num_times)), without reducing or checking anything.
-  /// Only the slots' thresholds are read.
-  static void ReplayAttempts(const std::vector<Slot>& slots, size_t attempts,
-                             Rng& rng);
+  /// |F| by the exact DP: 0 exactly when F is empty, exact below 2^53,
+  /// +∞ past the range of a double.
+  StatusOr<double> CountFeasible(const region::RegionTrajectory& regions,
+                                 Workspace& ws) const;
 
-  const Config& config() const { return config_; }
+  /// The DP draw alone, as Reconstruct runs it once every proposal has
+  /// failed: one member of F, uniformly. FailedPrecondition when F is
+  /// empty.
+  StatusOr<model::Trajectory> DrawFeasible(
+      const region::RegionTrajectory& regions, Rng& rng,
+      Workspace& ws) const;
 
  private:
-  // Draws one candidate (pois, timesteps) uniformly from the slots.
+  // Checks `regions` and hoists their slots into `ws`, sizing the memo.
+  Status Prepare(const region::RegionTrajectory& regions,
+                 Workspace& ws) const;
+
+  // Draws one candidate (pois, timesteps) uniformly from the slots' boxes.
   void SampleCandidate(const std::vector<Slot>& slots, Rng& rng,
                        std::vector<model::PoiId>* pois,
                        std::vector<model::Timestep>* times) const;
 
-  // Fills the guided time-counting DP for `slots`. Returns false when no
-  // strictly increasing time tuple exists (then neither sampler can ever
-  // accept and the smoothing fallback is inevitable).
+  // Fills the proposal DP for `slots`. Returns false when no strictly
+  // increasing time tuple exists (then no proposal can be made).
   bool BuildGuidedDp(const std::vector<Slot>& slots, Workspace& ws) const;
 
-  // One guided proposal: exact-uniform increasing time tuple from the
-  // DP, uniform POI per position, per-step openness/reachability checks.
-  // Returns false when any step's check fails (the attempt is rejected).
+  // One proposal: exact-uniform increasing time tuple from the DP,
+  // uniform POI per position, per-step openness/reachability checks.
+  // Returns false when any step's check fails (the proposal is rejected).
   bool SampleGuided(const std::vector<Slot>& slots, Workspace& ws, Rng& rng,
                     std::vector<model::PoiId>* pois,
                     std::vector<model::Timestep>* times) const;
 
-  // The γ-retry loop. Returns the attempts made and sets `cause` to kNone
-  // when the last one was accepted (its candidate is in ws.pois/ws.times),
-  // else to why all γ failed.
-  size_t RejectionLoop(const std::vector<Slot>& slots, Rng& rng,
-                       Workspace& ws, SmoothingCause* cause) const;
+  // Fills ws.prefix for ws.slots and returns |F|, stopping at the first
+  // position with no feasible prefix.
+  double CountDp(Workspace& ws) const;
 
-  // One rejection attempt: draws the same words SampleCandidate would,
-  // then runs the feasibility checks in order (time order, opening hours,
-  // reachability), reducing each word only when a check needs it.
-  bool TryAttempt(const std::vector<Slot>& slots, Rng& rng,
-                  Workspace& ws) const;
-
-  // The forward DP over earliest end times: true iff the feasible set of
-  // `slots` is non-empty.
-  bool HasFeasibleAssignment(const std::vector<Slot>& slots,
-                             Workspace& ws) const;
+  // After a positive CountDp: draws one member of F uniformly, backwards,
+  // into ws.pois / ws.times.
+  void DrawDp(Workspace& ws, Rng& rng) const;
 
   // Memoised model::MinReachableGap from POI j of slot i − 1 to POI k of
   // slot i.
@@ -251,7 +165,6 @@ class PoiReconstructor {
 
   const region::StcDecomposition* decomp_;
   const model::Reachability* reach_;
-  Config config_;
   TimeSmoother smoother_;
 };
 

@@ -81,22 +81,15 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
       "Report batches (frames) consumed off the ingest queue.", labels);
   poi_attempts_ctr_ = registry_->GetCounter(
       "trajldp_collector_poi_attempts_total",
-      "Whole-trajectory POI sampling attempts of released reports (§5.6 "
-      "retry loop, guided proposals included).",
+      "POI sampling attempts of released reports (§5.6): increasing-time "
+      "proposals made, plus one per trajectory the exact DP drew.",
       labels);
-  for (const auto& [cause, value] :
-       {std::pair{SmoothingCause::kEmptyFeasibleSet, "empty_feasible_set"},
-        std::pair{SmoothingCause::kRetryCap, "retry_cap"}}) {
-    obs::Labels cause_labels = labels;
-    cause_labels.push_back({"cause", value});
-    smoothed_ctr_[static_cast<size_t>(cause)] = registry_->GetCounter(
-        "trajldp_collector_poi_smoothed_total",
-        "Released reports whose POI trajectory came from the time-smoothing "
-        "fallback, by cause: no feasible assignment exists "
-        "(empty_feasible_set), or one exists but the retry cap missed it "
-        "(retry_cap).",
-        std::move(cause_labels));
-  }
+  smoothed_ctr_ = registry_->GetCounter(
+      "trajldp_collector_poi_smoothed_total",
+      "Released reports whose POI trajectory came from the time-smoothing "
+      "fallback: their region sequence has no feasible (POI, timestep) "
+      "assignment.",
+      labels);
   if (config.enable_stage_timing) {
     queue_wait_seconds_ = registry_->GetHistogram(
         "trajldp_collector_queue_wait_seconds",
@@ -332,9 +325,7 @@ bool StreamingCollector::ProcessBatch(const io::ReportBatch& batch,
       return false;
     }
     poi_attempts_ctr_->Add(out.release.poi_attempts);
-    if (out.release.smoothed) {
-      smoothed_ctr_[static_cast<size_t>(out.release.smoothing_cause)]->Add(1);
-    }
+    if (out.release.smoothed) smoothed_ctr_->Add(1);
     {
       std::lock_guard<std::mutex> lock(sink_mu_);
       sink_(std::move(out));

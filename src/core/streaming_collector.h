@@ -225,8 +225,7 @@ class StreamingCollector {
   obs::Counter* duplicates_ctr_ = nullptr;
   obs::Counter* frames_ctr_ = nullptr;
   obs::Counter* poi_attempts_ctr_ = nullptr;
-  // Smoothed releases by SmoothingCause (index 0, kNone, stays null).
-  obs::Counter* smoothed_ctr_[3] = {};
+  obs::Counter* smoothed_ctr_ = nullptr;
   obs::Histogram* queue_wait_seconds_ = nullptr;
   obs::Histogram* decode_seconds_ = nullptr;
   obs::Histogram* validate_seconds_ = nullptr;

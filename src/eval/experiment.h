@@ -45,7 +45,7 @@ struct ExperimentConfig {
   /// EM quality sensitivity passed to every mechanism. The experiment
   /// default of 1.0 is the "paper calibration" that reproduces the
   /// published error magnitudes; set 0 for the strict diameter value
-  /// (provable ε-LDP, ~flatter outputs). See DESIGN.md.
+  /// (provable ε-LDP, ~flatter outputs). See docs/CALIBRATION.md.
   double quality_sensitivity = 1.0;
   uint64_t seed = 99;
 };

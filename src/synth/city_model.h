@@ -15,12 +15,12 @@ namespace trajldp::synth {
 /// \brief Parameters of the synthetic city POI generator.
 ///
 /// Stands in for the Foursquare/Safegraph POI inventories (§6.1, see
-/// DESIGN.md's substitution table): POIs form Gaussian neighbourhood
-/// clusters inside a city-scale box, popularity follows a Zipf law (check
-/// -in data is heavily skewed), categories are uniform over the tree's
-/// leaves, and opening hours follow per-level-1-category templates — the
-/// same "manually specify opening hours per broad category" rule the
-/// paper applies to its real data.
+/// docs/CALIBRATION.md's substitution table): POIs form Gaussian
+/// neighbourhood clusters inside a city-scale box, popularity follows a
+/// Zipf law (check-in data is heavily skewed), categories are uniform over
+/// the tree's leaves, and opening hours follow per-level-1-category
+/// templates — the same "manually specify opening hours per broad
+/// category" rule the paper applies to its real data.
 struct CityModelConfig {
   size_t num_pois = 2000;
   /// City centre; the default is midtown Manhattan, matching the paper's

@@ -13,12 +13,13 @@ namespace trajldp::synth {
 /// \brief Generator standing in for the paper's Taxi-Foursquare dataset
 /// (§6.1.1): NYC Foursquare check-ins fused with TLC taxi trips.
 ///
-/// The substitution (DESIGN.md): a Zipf-popular, cluster-structured NYC-
-/// scale POI set with the Foursquare-like category tree; each trajectory
-/// chains POI visits the way concatenated daily taxi trips do — popular,
-/// spread-out destinations with dwell + ride gaps — while respecting the
-/// 8 km/h effective-speed reachability the paper filters with, POI
-/// opening hours, and the minimum g_t spacing of the cleaning step.
+/// The substitution (docs/CALIBRATION.md): a Zipf-popular,
+/// cluster-structured NYC-scale POI set with the Foursquare-like category
+/// tree; each trajectory chains POI visits the way concatenated daily
+/// taxi trips do — popular, spread-out destinations with dwell + ride
+/// gaps — while respecting the 8 km/h effective-speed reachability the
+/// paper filters with, POI opening hours, and the minimum g_t spacing of
+/// the cleaning step.
 struct TaxiFoursquareConfig {
   CityModelConfig city;
   size_t num_trajectories = 1000;

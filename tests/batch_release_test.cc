@@ -336,45 +336,6 @@ TEST_F(E2eBatchFixture, ReleaseAllFullMatchesSequentialForEveryThreadCount) {
   }
 }
 
-TEST_F(E2eBatchFixture, GuidedPolicyMatchesGuidedSequentialEveryThreadCount) {
-  // The guided policy keeps the engine's determinism contract: batched
-  // output equals the sequential guided pipeline loop bit-for-bit at any
-  // thread count (guided draws are a pure function of (seed, user id)
-  // through the collector stream's guided substream).
-  const uint64_t seed = 20260729;
-  const auto users = MakeUsers(24, 11);
-
-  NGramConfig guided_config = mech_->config();
-  guided_config.poi.policy = PoiPolicy::kGuided;
-  auto guided_mech = NGramMechanism::Build(db_.get(), time_, guided_config);
-  ASSERT_TRUE(guided_mech.ok()) << guided_mech.status();
-
-  const CollectorPipeline guided = guided_mech->pipeline();
-  std::vector<FullRelease> expected(users.size());
-  PipelineWorkspace ws;
-  const Rng root(seed);
-  for (size_t i = 0; i < users.size(); ++i) {
-    Rng user_rng = root.Substream(i);
-    ASSERT_TRUE(guided.ReleaseInto(users[i], user_rng, ws, expected[i]).ok());
-  }
-
-  for (const size_t threads : {1u, 2u, 8u}) {
-    BatchReleaseEngine engine(&*guided_mech,
-                              BatchReleaseEngine::Config{threads});
-    auto batched = engine.ReleaseAllFull(users, seed);
-    ASSERT_TRUE(batched.ok()) << "threads " << threads << ": "
-                              << batched.status();
-    ExpectIdenticalReleases(*batched, expected);
-  }
-
-  // And the policy must leave the perturbed regions untouched — only the
-  // POI stage differs between policies.
-  const auto rejection = SequentialReference(users, seed);
-  for (size_t i = 0; i < users.size(); ++i) {
-    EXPECT_EQ(rejection[i].regions, expected[i].regions) << "user " << i;
-  }
-}
-
 TEST_F(E2eBatchFixture, ReleaseAllFullRepeatedRunsReuseWorkspaces) {
   // The same engine (same worker workspaces) must be replayable: run two
   // batches back to back, then the first batch again — dirty workspaces

@@ -55,6 +55,17 @@ TEST(StatusTest, StreamOperator) {
   EXPECT_EQ(os.str(), "NotFound: x");
 }
 
+TEST(StatusTest, GtestPrintsACodeByName) {
+  // Without a printer, a failed EXPECT_EQ on two codes shows their bytes.
+  for (StatusCode code :
+       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
+        StatusCode::kOutOfRange, StatusCode::kFailedPrecondition,
+        StatusCode::kResourceExhausted, StatusCode::kInternal,
+        StatusCode::kUnimplemented}) {
+    EXPECT_EQ(::testing::PrintToString(code), StatusCodeName(code));
+  }
+}
+
 Status FailIfNegative(int x) {
   if (x < 0) return Status::InvalidArgument("negative");
   return Status::Ok();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -9,6 +10,8 @@
 
 #include "core/poi_reconstructor.h"
 #include "core/time_smoother.h"
+#include "hierarchy/builtin_hierarchies.h"
+#include "reference_loop.h"
 #include "test_world.h"
 
 namespace trajldp::core {
@@ -113,6 +116,10 @@ TEST_F(TimeSmootherTest, RejectsMismatchedInputs) {
 
 // ---------- PoiReconstructor ----------
 
+using trajldp::testing::ReferenceLoop;
+
+constexpr size_t kProposals = PoiReconstructor::kGuidedAttempts;
+
 class PoiReconstructorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -120,20 +127,33 @@ class PoiReconstructorTest : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<model::PoiDatabase>(std::move(*db));
     time_ = *model::TimeDomain::Create(10);
-
-    region::DecompositionConfig config;
-    config.grid_size = 2;
-    config.coarse_grids = {1};
-    config.base_interval_minutes = 60;
-    config.merge.kappa = 1;
-    auto decomp = region::StcDecomposition::Build(db_.get(), time_, config);
-    ASSERT_TRUE(decomp.ok());
-    decomp_ = std::make_unique<region::StcDecomposition>(std::move(*decomp));
+    decomp_ = BuildDecomposition(60);
+    ASSERT_NE(decomp_, nullptr);
 
     reach_config_.speed_kmh = 8.0;
     reach_config_.reference_gap_minutes = 60;
     reach_ = std::make_unique<model::Reachability>(db_.get(), time_,
                                                    reach_config_);
+  }
+
+  // The lattice cut into 2 × 2 cells and intervals of `minutes`.
+  std::unique_ptr<region::StcDecomposition> BuildDecomposition(
+      int minutes) const {
+    region::DecompositionConfig config;
+    config.grid_size = 2;
+    config.coarse_grids = {1};
+    config.base_interval_minutes = minutes;
+    config.merge.kappa = 1;
+    auto decomp = region::StcDecomposition::Build(db_.get(), time_, config);
+    EXPECT_TRUE(decomp.ok()) << decomp.status();
+    if (!decomp.ok()) return nullptr;
+    return std::make_unique<region::StcDecomposition>(std::move(*decomp));
+  }
+
+  // A speed that puts θ(1 step) a hair below the distance of POIs 0 and 4,
+  // so a hop between them needs two steps.
+  model::ReachabilityConfig TightReach() const {
+    return {6.0 * db_->DistanceKm(0, 4) * (1.0 - 1e-12), 60};
   }
 
   region::RegionTrajectory RegionsOf(
@@ -155,7 +175,7 @@ class PoiReconstructorTest : public ::testing::Test {
 };
 
 TEST_F(PoiReconstructorTest, ProducesFeasibleTrajectory) {
-  PoiReconstructor reconstructor(decomp_.get(), reach_.get(), {});
+  PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   const auto regions = RegionsOf({{0, 60}, {1, 66}, {5, 72}});
   Rng rng(5);
   auto result = reconstructor.Reconstruct(regions, rng);
@@ -166,7 +186,7 @@ TEST_F(PoiReconstructorTest, ProducesFeasibleTrajectory) {
 }
 
 TEST_F(PoiReconstructorTest, OutputPoisBelongToTheirRegions) {
-  PoiReconstructor reconstructor(decomp_.get(), reach_.get(), {});
+  PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   const auto regions = RegionsOf({{0, 60}, {1, 66}, {5, 72}});
   Rng rng(6);
   auto result = reconstructor.Reconstruct(regions, rng);
@@ -179,7 +199,7 @@ TEST_F(PoiReconstructorTest, OutputPoisBelongToTheirRegions) {
 }
 
 TEST_F(PoiReconstructorTest, OutputTimesWithinRegionIntervalsWhenNotSmoothed) {
-  PoiReconstructor reconstructor(decomp_.get(), reach_.get(), {});
+  PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   const auto regions = RegionsOf({{0, 60}, {1, 66}});
   Rng rng(7);
   auto result = reconstructor.Reconstruct(regions, rng);
@@ -194,23 +214,19 @@ TEST_F(PoiReconstructorTest, OutputTimesWithinRegionIntervalsWhenNotSmoothed) {
 
 TEST_F(PoiReconstructorTest, SmoothingFallbackWhenIntervalTooTight) {
   // Seven visits inside the same one-hour region: only 6 timesteps exist,
-  // so whole-trajectory sampling must fail and fall back to smoothing.
-  // The region holds POIs 0 and 4; the speed puts θ(1 step) a hair below
-  // their distance, so a smoothed 0 → 4 hop needs two steps.
+  // so F is empty, no proposal can be made, and the release falls back to
+  // smoothing. The region holds POIs 0 and 4, so a smoothed 0 → 4 hop
+  // needs two steps.
   const region::RegionTrajectory regions(7, *decomp_->Lookup(0, 60));
   ASSERT_EQ(decomp_->region(regions[0]).pois,
             (std::vector<model::PoiId>{0, 4}));
-  const model::ReachabilityConfig tight{
-      6.0 * db_->DistanceKm(0, 4) * (1.0 - 1e-12), 60};
-  const model::Reachability reach(db_.get(), time_, tight);
-  PoiReconstructor::Config config;
-  config.gamma = 200;  // keep the test fast; failure is structural
-  PoiReconstructor reconstructor(decomp_.get(), &reach, config);
+  const model::Reachability reach(db_.get(), time_, TightReach());
+  PoiReconstructor reconstructor(decomp_.get(), &reach);
   Rng rng(8);
   auto result = reconstructor.Reconstruct(regions, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->smoothed);
-  EXPECT_EQ(result->smoothing_cause, SmoothingCause::kEmptyFeasibleSet);
+  EXPECT_EQ(result->attempts, 0u);
   // Even smoothed outputs must be strictly increasing, within the day,
   // and reachable between consecutive points.
   for (size_t i = 0; i < result->trajectory.size(); ++i) {
@@ -227,228 +243,141 @@ TEST_F(PoiReconstructorTest, SmoothingFallbackWhenIntervalTooTight) {
 }
 
 TEST_F(PoiReconstructorTest, GuidedSamplerProducesFeasibleOutput) {
-  PoiReconstructor::Config config;
-  config.policy = PoiPolicy::kGuided;
-  PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+  PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   const auto regions = RegionsOf({{0, 60}, {1, 66}, {5, 72}, {6, 78}});
   Rng rng(9);
   auto result = reconstructor.Reconstruct(regions, rng);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->guided_fallback);
+  EXPECT_FALSE(result->smoothed);
+  EXPECT_LE(result->attempts, kProposals);  // a proposal was accepted
   EXPECT_TRUE(reach_->CheckFeasible(result->trajectory).ok());
 }
 
 TEST_F(PoiReconstructorTest, GuidedNeedsFewerAttemptsOnAverage) {
-  const auto regions = RegionsOf({{0, 60}, {1, 66}, {5, 72}, {6, 78}});
-  PoiReconstructor naive(decomp_.get(), reach_.get(), {});
-  PoiReconstructor::Config guided_config;
-  guided_config.policy = PoiPolicy::kGuided;
-  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
-
-  size_t naive_attempts = 0, guided_attempts = 0;
+  // Three visits to one six-timestep region: the paper loop's uniform
+  // times are increasing with probability 20 / 216, and every increasing
+  // tuple is feasible here, so the first proposal is always accepted.
+  const region::RegionTrajectory regions(3, *decomp_->Lookup(0, 60));
+  const ReferenceLoop paper(decomp_.get(), reach_.get());
+  PoiReconstructor sampler(decomp_.get(), reach_.get());
+  size_t paper_attempts = 0, attempts = 0;
   for (uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng1(seed), rng2(seed);
-    auto a = naive.Reconstruct(regions, rng1);
-    auto b = guided.Reconstruct(regions, rng2);
-    ASSERT_TRUE(a.ok());
+    const ReferenceLoop::Outcome a = paper.Run(regions, rng1);
+    auto b = sampler.Reconstruct(regions, rng2);
     ASSERT_TRUE(b.ok());
-    naive_attempts += a->attempts;
-    guided_attempts += b->attempts;
+    EXPECT_FALSE(a.smoothed);
+    EXPECT_FALSE(b->smoothed);
+    paper_attempts += a.attempts;
+    attempts += b->attempts;
   }
-  EXPECT_LE(guided_attempts, naive_attempts);
+  EXPECT_LT(attempts, paper_attempts);
 }
 
-// ---------- Guided-policy fallback (regression) ----------
-
-// An adversarially infeasible input: with two 12-hour base intervals, a
-// region sequence visiting an afternoon region BEFORE a morning region
-// admits no strictly increasing time assignment at all (the §5.6 loop
-// can only ever end in the smoothing fallback, which is allowed to
-// leave region intervals). The guided policy must not silently emit an
-// infeasible path here: it must fall back to the legacy rejection loop
-// on the untouched collector stream, making its output bit-identical to
-// the rejection policy's.
-class GuidedFallbackTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto db = MakeGridWorld();
-    ASSERT_TRUE(db.ok());
-    db_ = std::make_unique<model::PoiDatabase>(std::move(*db));
-    time_ = *model::TimeDomain::Create(10);
-
-    region::DecompositionConfig config;
-    config.grid_size = 2;
-    config.coarse_grids = {1};
-    config.base_interval_minutes = 720;
-    config.merge.kappa = 1;
-    auto decomp = region::StcDecomposition::Build(db_.get(), time_, config);
-    ASSERT_TRUE(decomp.ok());
-    decomp_ = std::make_unique<region::StcDecomposition>(std::move(*decomp));
-
-    reach_config_.speed_kmh = 8.0;
-    reach_config_.reference_gap_minutes = 60;
-    reach_ = std::make_unique<model::Reachability>(db_.get(), time_,
-                                                   reach_config_);
-  }
-
-  std::unique_ptr<model::PoiDatabase> db_;
-  model::TimeDomain time_;
-  std::unique_ptr<region::StcDecomposition> decomp_;
-  model::ReachabilityConfig reach_config_;
-  std::unique_ptr<model::Reachability> reach_;
-};
-
-TEST_F(GuidedFallbackTest, FallsBackToRejectionLoopBitExactly) {
-  PoiReconstructor::Config config;
-  config.gamma = 100;  // the rejection loop is provably futile here
-  PoiReconstructor::Config guided_config = config;
-  guided_config.policy = PoiPolicy::kGuided;
-  PoiReconstructor rejection(decomp_.get(), reach_.get(), config);
-  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
-
-  // Afternoon-interval region first, morning-interval region second:
-  // t₀ ∈ [12:00, 24:00), t₁ ∈ [0:00, 12:00), t₁ > t₀ is impossible.
-  region::RegionTrajectory regions{
-      *decomp_->Lookup(0, time_.MinuteToTimestep(800)),
-      *decomp_->Lookup(0, time_.MinuteToTimestep(60))};
-  ASSERT_NE(regions[0], regions[1]);
-
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    Rng rng1(seed), rng2(seed);
-    auto r = rejection.Reconstruct(regions, rng1);
-    auto g = guided.Reconstruct(regions, rng2);
-    ASSERT_TRUE(r.ok()) << r.status();
-    ASSERT_TRUE(g.ok()) << g.status();
-    EXPECT_TRUE(g->guided_fallback);
-    EXPECT_FALSE(r->guided_fallback);
-    // The fallback replays the rejection policy on the untouched
-    // collector stream: identical trajectory, identical smoothing.
-    EXPECT_TRUE(g->trajectory == r->trajectory) << "seed " << seed;
-    EXPECT_EQ(g->smoothed, r->smoothed) << "seed " << seed;
-    EXPECT_TRUE(g->smoothed);
-  }
-}
-
-TEST_F(GuidedFallbackTest, FeasibleInputNeverFallsBackEvenWhenStarved) {
-  // The reverse order is feasible, and the guided proposal enforces
-  // exactly the binding constraints up front — so the first guided
-  // attempt must already succeed with a feasible, unsmoothed trajectory.
-  PoiReconstructor::Config guided_config;
-  guided_config.policy = PoiPolicy::kGuided;
-  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
-  region::RegionTrajectory regions{
-      *decomp_->Lookup(0, time_.MinuteToTimestep(60)),
-      *decomp_->Lookup(0, time_.MinuteToTimestep(800))};
+TEST_F(PoiReconstructorTest, NoRetryCapWhenTheFeasibleSetIsTiny) {
+  // Twelve visits to one two-hour region of twelve timesteps leave one
+  // time tuple, and a step too short for the 0 ↔ 4 hop keeps every visit
+  // at one POI: |F| = 2 of the boxes' 24^12 assignments. The paper loop
+  // accepts with probability about 3e-17 per attempt, so its γ = 50,000
+  // attempts end smoothed; proposals accept 2 in 2^12, so the DP draws
+  // most of these releases, and none is smoothed.
+  const auto decomp = BuildDecomposition(120);
+  ASSERT_NE(decomp, nullptr);
+  const region::RegionTrajectory regions(12, *decomp->Lookup(0, 60));
+  const region::StcRegion& region = decomp->region(regions[0]);
+  ASSERT_EQ(region.pois, (std::vector<model::PoiId>{0, 4}));
+  ASSERT_EQ(region.time.length(), 120);
+  const model::Reachability reach(db_.get(), time_, TightReach());
+  PoiReconstructor reconstructor(decomp.get(), &reach);
+  PoiReconstructor::Workspace ws;
+  EXPECT_EQ(*reconstructor.CountFeasible(regions, ws), 2.0);
+  size_t drawn = 0;
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(seed);
-    auto g = guided.Reconstruct(regions, rng);
-    ASSERT_TRUE(g.ok()) << g.status();
-    EXPECT_EQ(g->attempts, 1u) << "seed " << seed;
-    EXPECT_FALSE(g->guided_fallback);
-    EXPECT_FALSE(g->smoothed);
-    EXPECT_TRUE(reach_->CheckFeasible(g->trajectory).ok()) << "seed "
-                                                           << seed;
+    auto result = reconstructor.Reconstruct(regions, rng, ws);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(result->smoothed) << "seed " << seed;
+    EXPECT_TRUE(reach.CheckFeasible(result->trajectory).ok())
+        << "seed " << seed;
+    drawn += result->attempts == kProposals + 1 ? 1 : 0;
   }
+  EXPECT_GT(drawn, 0u);
 }
 
 TEST_F(PoiReconstructorTest, RejectsBadInputs) {
-  PoiReconstructor reconstructor(decomp_.get(), reach_.get(), {});
+  PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   Rng rng(10);
   EXPECT_FALSE(reconstructor.Reconstruct({}, rng).ok());
   EXPECT_FALSE(
       reconstructor.Reconstruct({region::RegionId{999999}}, rng).ok());
+  PoiReconstructor::Workspace ws;
+  EXPECT_FALSE(reconstructor.CountFeasible({}, ws).ok());
+  EXPECT_FALSE(reconstructor.DrawFeasible({}, rng, ws).ok());
 }
 
-// ---------- Rejection loop vs the paper loop ----------
-
-// The paper's γ-retry loop, one whole candidate per attempt, as the
-// production loop ran before it learned to reduce lazily, memoise
-// reachability and certify an empty feasible set. It is the reference
-// the production loop must equal draw for draw.
-class ReferenceLoop {
- public:
-  struct Outcome {
-    model::Trajectory trajectory;
-    size_t attempts = 0;
-    bool smoothed = false;
-  };
-
-  ReferenceLoop(const region::StcDecomposition* decomp,
-                const model::Reachability* reach, int gamma)
-      : decomp_(decomp),
-        reach_(reach),
-        gamma_(gamma),
-        smoother_(&decomp->db(), decomp->time(), reach->config()) {}
-
-  Outcome Run(const region::RegionTrajectory& regions, Rng& rng) const {
-    std::vector<model::PoiId> pois;
-    std::vector<model::Timestep> times;
-    Outcome out;
-    for (int attempt = 0; attempt < gamma_; ++attempt) {
-      ++out.attempts;
-      SampleCandidate(regions, rng, &pois, &times);
-      if (IsFeasible(pois, times)) {
-        for (size_t i = 0; i < pois.size(); ++i) {
-          out.trajectory.Append(pois[i], times[i]);
-        }
-        return out;
-      }
-    }
-    SampleCandidate(regions, rng, &pois, &times);
-    std::sort(times.begin(), times.end());
-    auto smoothed = smoother_.Smooth(pois, times);
-    EXPECT_TRUE(smoothed.ok()) << smoothed.status();
-    if (!smoothed.ok()) return out;
-    for (size_t i = 0; i < pois.size(); ++i) {
-      out.trajectory.Append(pois[i], (*smoothed)[i]);
-    }
-    out.smoothed = true;
-    return out;
+// The benchmark's lattice: 2,000 always-open POIs 1 km apart, cut into a
+// 5 × 5 grid of whole-day regions, 8 km/h per 30-minute reference gap and
+// 10-minute timesteps.
+TEST(PoiLongestReportTest, AWholeDayOfVisitsIsDrawnByTheDp) {
+  hierarchy::CategoryTree tree = hierarchy::BuiltinCampus();
+  const auto leaves = tree.Leaves();
+  std::vector<model::Poi> pois;
+  for (size_t i = 0; i < 2000; ++i) {
+    model::Poi poi;
+    poi.name = "lattice_" + std::to_string(i);
+    poi.location = geo::OffsetKm({40.7, -74.0}, static_cast<double>(i % 45),
+                                 static_cast<double>(i / 45));
+    poi.category = leaves[i % leaves.size()];
+    pois.push_back(std::move(poi));
   }
+  auto db = model::PoiDatabase::Create(std::move(pois), std::move(tree));
+  ASSERT_TRUE(db.ok()) << db.status();
+  const auto time = *model::TimeDomain::Create(10);
+  region::DecompositionConfig config;
+  config.grid_size = 5;
+  config.coarse_grids = {1};
+  config.base_interval_minutes = 1440;
+  config.merge.kappa = 1;
+  auto decomp = region::StcDecomposition::Build(&*db, time, config);
+  ASSERT_TRUE(decomp.ok()) << decomp.status();
+  const model::Reachability reach(&*db, time, {8.0, 30});
 
- private:
-  void SampleCandidate(const region::RegionTrajectory& regions, Rng& rng,
-                       std::vector<model::PoiId>* pois,
-                       std::vector<model::Timestep>* times) const {
-    const model::TimeDomain& time = decomp_->time();
-    pois->resize(regions.size());
-    times->resize(regions.size());
-    for (size_t i = 0; i < regions.size(); ++i) {
-      const region::StcRegion& r = decomp_->region(regions[i]);
-      const model::Timestep first = time.MinuteToTimestep(r.time.begin);
-      const model::Timestep last = time.MinuteToTimestep(r.time.end - 1);
-      (*pois)[i] = r.pois[rng.UniformUint64(r.pois.size())];
-      (*times)[i] = first + static_cast<model::Timestep>(
-                                rng.UniformUint64(last - first + 1));
-    }
-  }
+  // |T| visits to one region of 9 POIs: one increasing time tuple, so the
+  // proposals range over 9^144 ≈ 2^456 POI sequences, of which F holds
+  // about 2^223.
+  const region::RegionTrajectory regions(
+      static_cast<size_t>(time.num_timesteps()), *decomp->Lookup(0, 0));
+  ASSERT_EQ(decomp->region(regions[0]).pois.size(), 9u);
+  const PoiReconstructor reconstructor(&*decomp, &reach);
+  PoiReconstructor::Workspace ws;
+  const auto count = reconstructor.CountFeasible(regions, ws);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_GT(*count, 0x1p200);
+  EXPECT_LT(*count, 0x1p256);
+  Rng rng(1);
+  auto result = reconstructor.Reconstruct(regions, rng, ws);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->smoothed);
+  EXPECT_EQ(result->attempts, kProposals + 1);
+  EXPECT_TRUE(reach.CheckFeasible(result->trajectory).ok());
 
-  bool IsFeasible(const std::vector<model::PoiId>& pois,
-                  const std::vector<model::Timestep>& times) const {
-    const model::TimeDomain& time = decomp_->time();
-    for (size_t i = 0; i < pois.size(); ++i) {
-      if (i > 0 && times[i] <= times[i - 1]) return false;
-      const int minute = time.TimestepToMinute(times[i]);
-      if (!decomp_->db().poi(pois[i]).hours.IsOpenAtMinute(minute)) {
-        return false;
-      }
-      if (i > 0 && !reach_->IsReachableBetween(pois[i - 1], pois[i],
-                                               times[i - 1], times[i])) {
-        return false;
-      }
-    }
-    return true;
-  }
+  // θ = ∞: every POI sequence fits, |F| = 9^144, and the DP's positions
+  // pass 2^256, where it rescales them.
+  const model::Reachability free(&*db, time,
+                                 model::ReachabilityConfig::Unconstrained());
+  const PoiReconstructor unconstrained(&*decomp, &free);
+  const auto all = unconstrained.CountFeasible(regions, ws);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_NEAR(*all / std::pow(9.0, 144), 1.0, 1e-9);
+  const auto drawn = unconstrained.DrawFeasible(regions, rng, ws);
+  ASSERT_TRUE(drawn.ok()) << drawn.status();
+  EXPECT_TRUE(free.CheckFeasible(*drawn).ok());
+}
 
-  const region::StcDecomposition* decomp_;
-  const model::Reachability* reach_;
-  int gamma_;
-  TimeSmoother smoother_;
-};
+// ---------- The one sampler against F ----------
 
 // Whether no assignment of `regions` is feasible, by a memoised search
-// over every (position, POI, timestep) state: exhaustive, with none of
-// the certificate's earliest-time dominance.
+// over every (position, POI, timestep) state, independent of the DP.
 bool FeasibleSetIsEmpty(const region::StcDecomposition& decomp,
                         const model::Reachability& reach,
                         const region::RegionTrajectory& regions) {
@@ -507,8 +436,8 @@ bool FeasibleSetIsEmpty(const region::StcDecomposition& decomp,
 }
 
 // Whether some strictly increasing time tuple fits the regions' windows:
-// exactly when the guided policy spends its kGuidedAttempts proposals
-// before falling back (otherwise its DP rules them out and it spends none).
+// exactly when the sampler makes its kGuidedAttempts proposals before the
+// DP (otherwise it makes none).
 bool HasIncreasingTimes(const region::StcDecomposition& decomp,
                         const region::RegionTrajectory& regions) {
   const model::TimeDomain& time = decomp.time();
@@ -521,53 +450,28 @@ bool HasIncreasingTimes(const region::StcDecomposition& decomp,
   return true;
 }
 
-// Runs `policy` and the reference loop on the same collector stream and
-// compares everything a release carries: trajectory, attempts, the
-// smoothed flag, its cause, and the generator's next word. Returns the
-// production result.
-PoiReconstructor::Result ExpectMatchesReference(
-    const region::StcDecomposition& decomp, const model::Reachability& reach,
-    const PoiReconstructor& reconstructor,
-    const region::RegionTrajectory& regions, const Rng& stream,
-    PoiReconstructor::Workspace& ws) {
-  Rng got_rng = stream;
-  Rng want_rng = stream;
-  auto got = reconstructor.Reconstruct(regions, got_rng, ws);
-  EXPECT_TRUE(got.ok()) << got.status();
-  if (!got.ok()) return {};
-  if (reconstructor.config().policy == PoiPolicy::kGuided &&
-      !got->guided_fallback) {
-    // A guided acceptance leaves the collector stream untouched.
-    EXPECT_EQ(got_rng.NextUint64(), want_rng.NextUint64());
-    EXPECT_TRUE(reach.CheckFeasible(got->trajectory).ok());
-    EXPECT_EQ(got->smoothing_cause, SmoothingCause::kNone);
-    return *got;
+// Whether every point of `trajectory` lies in its region's box: a POI of
+// the region, at a timestep of its window.
+bool InsideBoxes(const region::StcDecomposition& decomp,
+                 const region::RegionTrajectory& regions,
+                 const model::Trajectory& trajectory) {
+  if (trajectory.size() != regions.size()) return false;
+  const model::TimeDomain& time = decomp.time();
+  for (size_t i = 0; i < regions.size(); ++i) {
+    const region::StcRegion& r = decomp.region(regions[i]);
+    const model::TrajectoryPoint& pt = trajectory.point(i);
+    if (!std::binary_search(r.pois.begin(), r.pois.end(), pt.poi) ||
+        pt.t < time.MinuteToTimestep(r.time.begin) ||
+        pt.t > time.MinuteToTimestep(r.time.end - 1)) {
+      return false;
+    }
   }
-  const ReferenceLoop reference(&decomp, &reach,
-                                reconstructor.config().gamma);
-  const ReferenceLoop::Outcome want = reference.Run(regions, want_rng);
-  size_t guided_attempts = 0;
-  if (reconstructor.config().policy == PoiPolicy::kGuided &&
-      HasIncreasingTimes(decomp, regions)) {
-    guided_attempts = PoiReconstructor::kGuidedAttempts;
-  }
-  EXPECT_TRUE(got->trajectory == want.trajectory);
-  EXPECT_EQ(got->attempts, want.attempts + guided_attempts);
-  EXPECT_EQ(got->smoothed, want.smoothed);
-  SmoothingCause cause = SmoothingCause::kNone;
-  if (want.smoothed) {
-    cause = FeasibleSetIsEmpty(decomp, reach, regions)
-                ? SmoothingCause::kEmptyFeasibleSet
-                : SmoothingCause::kRetryCap;
-  }
-  EXPECT_EQ(got->smoothing_cause, cause);
-  EXPECT_EQ(got_rng.NextUint64(), want_rng.NextUint64());
-  return *got;
+  return true;
 }
 
 // Worlds whose feasible set is empty for exactly one reason each, on the
-// PoiReconstructorTest lattice: the certificate must find each, at the
-// paper's γ = 50,000, under both policies.
+// PoiReconstructorTest lattice: the DP must find each, and the paper loop
+// must agree, smoothing them too after its γ = 50,000 attempts.
 class PoiRejectionEquivalenceTest : public ::testing::Test {
  protected:
   void Build(const trajldp::testing::GridWorldOptions& options,
@@ -587,23 +491,21 @@ class PoiRejectionEquivalenceTest : public ::testing::Test {
     reach_ = std::make_unique<model::Reachability>(db_.get(), time_, reach);
   }
 
-  // Both policies, a few collector streams, the real γ.
   void ExpectCertifiedEmpty(const region::RegionTrajectory& regions) {
     ASSERT_TRUE(FeasibleSetIsEmpty(*decomp_, *reach_, regions));
-    for (const PoiPolicy policy :
-         {PoiPolicy::kRejection, PoiPolicy::kGuided}) {
-      PoiReconstructor::Config config;
-      ASSERT_EQ(config.gamma, 50000);
-      config.policy = policy;
-      const PoiReconstructor reconstructor(decomp_.get(), reach_.get(),
-                                           config);
-      PoiReconstructor::Workspace ws;
-      for (uint64_t seed = 0; seed < 3; ++seed) {
-        const auto result = ExpectMatchesReference(
-            *decomp_, *reach_, reconstructor, regions, Rng(seed), ws);
-        EXPECT_EQ(result.smoothing_cause, SmoothingCause::kEmptyFeasibleSet)
-            << "seed " << seed;
-      }
+    const PoiReconstructor reconstructor(decomp_.get(), reach_.get());
+    const ReferenceLoop paper(decomp_.get(), reach_.get());
+    PoiReconstructor::Workspace ws;
+    EXPECT_EQ(*reconstructor.CountFeasible(regions, ws), 0.0);
+    const size_t proposals =
+        HasIncreasingTimes(*decomp_, regions) ? kProposals : 0;
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Rng rng(seed), paper_rng(seed);
+      const auto result = reconstructor.Reconstruct(regions, rng, ws);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_TRUE(result->smoothed) << "seed " << seed;
+      EXPECT_EQ(result->attempts, proposals) << "seed " << seed;
+      EXPECT_TRUE(paper.Run(regions, paper_rng).smoothed) << "seed " << seed;
     }
   }
 
@@ -646,73 +548,28 @@ TEST_F(PoiRejectionEquivalenceTest, EmptyByReachabilityOnly) {
   ExpectCertifiedEmpty(regions);
 }
 
-TEST_F(PoiRejectionEquivalenceTest, RetryCapWithNonEmptyFeasibleSet) {
-  // Six visits to six timesteps: exactly one time tuple fits, so F is not
-  // empty, but a short loop almost never draws it.
-  Build({}, model::ReachabilityConfig::Unconstrained());
-  const region::RegionTrajectory regions(6, *decomp_->Lookup(0, 60));
-  ASSERT_FALSE(FeasibleSetIsEmpty(*decomp_, *reach_, regions));
-  PoiReconstructor::Config config;
-  config.gamma = 100;
-  const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
-  PoiReconstructor::Workspace ws;
-  size_t capped = 0;
-  for (uint64_t seed = 0; seed < 4; ++seed) {
-    const auto result = ExpectMatchesReference(
-        *decomp_, *reach_, reconstructor, regions, Rng(seed), ws);
-    capped += result.smoothing_cause == SmoothingCause::kRetryCap ? 1 : 0;
-  }
-  EXPECT_GT(capped, 0u);
-}
-
-TEST_F(PoiRejectionEquivalenceTest, ReplayMatchesUniformDrawsForEveryBound) {
-  // The replay must run UniformUint64's accept loop, not assume one word
-  // per draw: bounds just above 2^63 reject about half of all words.
-  std::vector<PoiReconstructor::Slot> slots;
-  for (const uint64_t bound :
-       {uint64_t{1}, uint64_t{3}, uint64_t{1000}, (uint64_t{1} << 63) + 1,
-        ~uint64_t{0}}) {
-    PoiReconstructor::Slot slot;
-    slot.num_pois = bound;
-    slot.num_times = (uint64_t{1} << 63) + 3;
-    slot.poi_threshold = Rng::RejectionThreshold(slot.num_pois);
-    slot.time_threshold = Rng::RejectionThreshold(slot.num_times);
-    slots.push_back(slot);
-  }
-  Rng replayed(11), drawn(11);
-  PoiReconstructor::ReplayAttempts(slots, 500, replayed);
-  for (int attempt = 0; attempt < 500; ++attempt) {
-    for (const PoiReconstructor::Slot& slot : slots) {
-      drawn.UniformUint64(slot.num_pois);
-      drawn.UniformUint64(slot.num_times);
-    }
-  }
-  EXPECT_EQ(replayed.NextUint64(), drawn.NextUint64());
-}
-
 // Randomized worlds: scattered POIs, a third of them open only part of
 // the day at minutes that need not fall on a timestep, bounded or
 // unbounded θ, region sequences of 1 to 8 positions.
-struct EquivalenceWorldParam {
+struct SweepWorldParam {
   uint64_t seed;
   double speed_kmh;  // infinity: unconstrained
   int granularity_minutes;
-  /// GuidedReleasesMatchPinnedFingerprint's expected value.
-  uint64_t guided_fingerprint;
+  /// ReleasesMatchPinnedFingerprint's expected value.
+  uint64_t fingerprint;
 };
 
 // Prints the fields only: gtest's fallback prints the struct's bytes,
 // padding included, which would change the test ids from build to build.
-void PrintTo(const EquivalenceWorldParam& param, std::ostream* os) {
+void PrintTo(const SweepWorldParam& param, std::ostream* os) {
   *os << "seed " << param.seed << ", " << param.speed_kmh << " km/h, "
       << param.granularity_minutes << " min steps";
 }
 
-class PoiRejectionEquivalenceSweep
-    : public ::testing::TestWithParam<EquivalenceWorldParam> {
+class PoiSamplerSweep : public ::testing::TestWithParam<SweepWorldParam> {
  protected:
   void SetUp() override {
-    const EquivalenceWorldParam& param = GetParam();
+    const SweepWorldParam& param = GetParam();
     hierarchy::CategoryTree tree = trajldp::testing::MakeSmallTree();
     const auto leaves = tree.Leaves();
     const geo::LatLon origin{40.7000, -74.0000};
@@ -776,63 +633,50 @@ class PoiRejectionEquivalenceSweep
   std::vector<std::vector<region::RegionId>> by_hour_;
 };
 
-TEST_P(PoiRejectionEquivalenceSweep, MatchesReferenceLoopDrawForDraw) {
-  for (const PoiPolicy policy : {PoiPolicy::kRejection, PoiPolicy::kGuided}) {
-    PoiReconstructor::Config config;
-    config.gamma = 2000;
-    config.policy = policy;
-    const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
-    // One workspace for every sequence: stale memo entries would show.
-    PoiReconstructor::Workspace ws;
-    Rng sequences(GetParam().seed);
-    const Rng root(GetParam().seed + 1000);
-    size_t by_cause[3] = {0, 0, 0};
-    for (uint64_t s = 0; s < 40; ++s) {
-      const region::RegionTrajectory regions = MakeSequence(sequences);
-      const auto result = ExpectMatchesReference(
-          *decomp_, *reach_, reconstructor, regions, root.Substream(s), ws);
-      ++by_cause[static_cast<size_t>(result.smoothing_cause)];
-    }
-    EXPECT_GT(by_cause[0], 0u);
-    EXPECT_GT(by_cause[1], 0u);
-  }
-}
-
-TEST_P(PoiRejectionEquivalenceSweep, CertificateVerdictMatchesExhaustiveSearch) {
-  // With γ = 0 the certificate runs before any attempt, so the cause is
-  // its verdict.
-  PoiReconstructor::Config config;
-  config.gamma = 0;
-  const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+TEST_P(PoiSamplerSweep, CertificateVerdictMatchesExhaustiveSearch) {
+  // The DP's count is 0 exactly when F is empty, and exactly those
+  // releases are smoothed. Every other release, and every DP draw, is
+  // feasible and inside its regions' boxes.
+  const PoiReconstructor reconstructor(decomp_.get(), reach_.get());
+  // One workspace for every sequence: stale memo entries would show.
   PoiReconstructor::Workspace ws;
   Rng sequences(GetParam().seed + 1);
   size_t empty = 0;
   constexpr size_t kSequences = 200;
   for (size_t s = 0; s < kSequences; ++s) {
     const region::RegionTrajectory regions = MakeSequence(sequences);
-    Rng rng(s);
-    auto result = reconstructor.Reconstruct(regions, rng, ws);
-    ASSERT_TRUE(result.ok()) << result.status();
-    const bool certified_empty =
-        result->smoothing_cause == SmoothingCause::kEmptyFeasibleSet;
+    const auto count = reconstructor.CountFeasible(regions, ws);
+    ASSERT_TRUE(count.ok()) << count.status();
+    const bool certified_empty = *count == 0.0;
     EXPECT_EQ(certified_empty, FeasibleSetIsEmpty(*decomp_, *reach_, regions))
         << "sequence " << s;
     empty += certified_empty ? 1 : 0;
+
+    Rng rng(s);
+    const auto result = reconstructor.Reconstruct(regions, rng, ws);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->smoothed, certified_empty) << "sequence " << s;
+    if (certified_empty) continue;
+    EXPECT_TRUE(reach_->CheckFeasible(result->trajectory).ok())
+        << "sequence " << s;
+    EXPECT_TRUE(InsideBoxes(*decomp_, regions, result->trajectory))
+        << "sequence " << s;
+    const auto drawn = reconstructor.DrawFeasible(regions, rng, ws);
+    ASSERT_TRUE(drawn.ok()) << drawn.status();
+    EXPECT_TRUE(reach_->CheckFeasible(*drawn).ok()) << "sequence " << s;
+    EXPECT_TRUE(InsideBoxes(*decomp_, regions, *drawn)) << "sequence " << s;
   }
   EXPECT_GT(empty, 0u);
   EXPECT_LT(empty, kSequences);
 }
 
-TEST_P(PoiRejectionEquivalenceSweep, GuidedReleasesMatchPinnedFingerprint) {
-  // ExpectMatchesReference holds a guided acceptance only to feasibility,
-  // so this pins the guided policy draw for draw: every Result on the
-  // sweep's sequences, and the collector stream after it, folds into one
-  // fingerprint, recorded when guided proposals read a world-wide
-  // reachability table instead of the per-user memo.
-  PoiReconstructor::Config config;
-  config.gamma = 2000;
-  config.policy = PoiPolicy::kGuided;
-  const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+TEST_P(PoiSamplerSweep, ReleasesMatchPinnedFingerprint) {
+  // Pins the sampler draw for draw: every Result on the sweep's
+  // sequences, and the collector stream after it, folds into one
+  // fingerprint. Proposals accept or F is empty on these sequences, so
+  // each feasible one also folds in the DP's own draw from the same
+  // stream.
+  const PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   PoiReconstructor::Workspace ws;
   Rng sequences(GetParam().seed);
   const Rng root(GetParam().seed + 1000);
@@ -840,42 +684,50 @@ TEST_P(PoiRejectionEquivalenceSweep, GuidedReleasesMatchPinnedFingerprint) {
   const auto fold = [&fingerprint](uint64_t word) {
     fingerprint = (fingerprint ^ word) * 0x100000001b3ULL;
   };
-  size_t fallbacks = 0;
-  for (uint64_t s = 0; s < 40; ++s) {
-    Rng rng = root.Substream(s);
-    auto result = reconstructor.Reconstruct(MakeSequence(sequences), rng, ws);
-    ASSERT_TRUE(result.ok()) << result.status();
-    fold(result->trajectory.size());
-    for (const model::TrajectoryPoint& pt : result->trajectory.points()) {
+  const auto fold_points = [&fold](const model::Trajectory& trajectory) {
+    fold(trajectory.size());
+    for (const model::TrajectoryPoint& pt : trajectory.points()) {
       fold(pt.poi);
       fold(static_cast<uint64_t>(pt.t));
     }
+  };
+  size_t accepted = 0, smoothed = 0;
+  for (uint64_t s = 0; s < 40; ++s) {
+    const region::RegionTrajectory regions = MakeSequence(sequences);
+    Rng rng = root.Substream(s);
+    Rng dp_rng = rng;
+    auto result = reconstructor.Reconstruct(regions, rng, ws);
+    ASSERT_TRUE(result.ok()) << result.status();
+    fold_points(result->trajectory);
     fold(result->attempts);
     fold(result->smoothed ? 1 : 0);
-    fold(static_cast<uint64_t>(result->smoothing_cause));
-    fold(result->guided_fallback ? 1 : 0);
     fold(rng.NextUint64());
-    fallbacks += result->guided_fallback ? 1 : 0;
+    accepted += result->attempts <= kProposals && !result->smoothed ? 1 : 0;
+    smoothed += result->smoothed ? 1 : 0;
+    if (result->smoothed) continue;
+    auto drawn = reconstructor.DrawFeasible(regions, dp_rng, ws);
+    ASSERT_TRUE(drawn.ok()) << drawn.status();
+    fold_points(*drawn);
+    fold(dp_rng.NextUint64());
   }
-  // Both guided acceptances and fallbacks are in the fingerprint.
-  EXPECT_GT(fallbacks, 0u);
-  EXPECT_LT(fallbacks, 40u);
-  EXPECT_EQ(fingerprint, GetParam().guided_fingerprint)
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(smoothed, 0u);
+  EXPECT_EQ(fingerprint, GetParam().fingerprint)
       << std::hex << "0x" << fingerprint;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RandomWorlds, PoiRejectionEquivalenceSweep,
+    RandomWorlds, PoiSamplerSweep,
     ::testing::Values(
         // Walking pace over a 4 km square: reachability binds.
-        EquivalenceWorldParam{1, 3.0, 10, 0xcb55a14dfe523e30},
-        EquivalenceWorldParam{2, 5.0, 20, 0xe402c9defcf7d040},
+        SweepWorldParam{1, 3.0, 10, 0xb786255b31bf9e05},
+        SweepWorldParam{2, 5.0, 20, 0x9f4fdeaa82a9f0b5},
         // θ = ∞: only time order and opening hours bind.
-        EquivalenceWorldParam{3, std::numeric_limits<double>::infinity(), 10,
-                              0x1604b5de41e4f073},
-        EquivalenceWorldParam{4, std::numeric_limits<double>::infinity(), 15,
-                              0xcf485ebf9036d901}),
-    [](const ::testing::TestParamInfo<EquivalenceWorldParam>& info) {
+        SweepWorldParam{3, std::numeric_limits<double>::infinity(), 10,
+                        0xfb5df961976f8da3},
+        SweepWorldParam{4, std::numeric_limits<double>::infinity(), 15,
+                        0xe1103be890d9f6b0}),
+    [](const ::testing::TestParamInfo<SweepWorldParam>& info) {
       return "Seed" + std::to_string(info.param.seed);
     });
 

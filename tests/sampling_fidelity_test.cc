@@ -1,17 +1,18 @@
-// Statistical-equivalence harness for the §5.6 POI sampling policies
-// (ISSUE 4): the guided sampler must draw from the SAME conditional
-// distribution as the paper's rejection loop — uniform over the feasible
-// (POI, timestep) assignments of a region sequence. Three layers:
+// Statistical harness for the §5.6 POI sampler: PoiReconstructor must
+// draw from the SAME distribution as the paper's rejection loop — uniform
+// over the feasible (POI, timestep) assignments F of a region sequence.
+// Four layers:
 //
-//  1. exact ground truth — brute-force enumeration of the feasible set
-//     on a small world, then a goodness-of-fit chi-squared of each
-//     policy's empirical distribution against the uniform law;
-//  2. two-sample chi-squared + total-variation distance between the two
-//     policies' empirical distributions (50k draws each, fixed seeds);
-//  3. determinism — the draws are seeded, so every statistic here is a
+//  1. exact ground truth — brute-force enumeration of F on a small world,
+//     then a goodness-of-fit chi-squared against the uniform law of the
+//     sampler, of its exact DP draw alone, and of the paper loop;
+//  2. two-sample chi-squared + total-variation distance between the
+//     sampler and the paper loop (50k draws each, fixed seeds);
+//  3. the DP's count against |F| from enumeration;
+//  4. determinism — the draws are seeded, so every statistic here is a
 //     constant: a failure is a real distribution change, never flake.
 //
-// Tolerances (documented for satellite 1):
+// Tolerances:
 //  * chi-squared thresholds are the Wilson–Hilferty critical value at
 //    z = 3.72 (p ≈ 1e-4) for the pooled degrees of freedom — far above
 //    any plausible sampling fluctuation at these draw counts, far below
@@ -36,12 +37,16 @@
 #include "core/poi_reconstructor.h"
 #include "model/reachability.h"
 #include "region/decomposition.h"
+#include "reference_loop.h"
 #include "test_world.h"
 
 namespace trajldp::core {
 namespace {
 
 using trajldp::testing::MakeGridWorld;
+using trajldp::testing::ReferenceLoop;
+
+constexpr size_t kDraws = 50000;
 
 // One complete output trajectory, encoded for counting: (poi, t) pairs.
 using OutcomeKey = std::vector<int32_t>;
@@ -173,14 +178,12 @@ class SamplingFidelityTest : public ::testing::Test {
                 *decomp_->Lookup(4, time_.MinuteToTimestep(15 * 60))};
   }
 
-  // Empirical output distribution of `policy` over `draws` independent
-  // releases, each on its own substream of one root seed. Asserts the
-  // smoothing fallback never fires (these inputs are feasible, so a
-  // smoothed output would mean a sampler lost mass it should find).
-  Histogram Sample(PoiPolicy policy, size_t draws, uint64_t seed) {
-    PoiReconstructor::Config config;
-    config.policy = policy;
-    PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+  // Empirical output distribution of the sampler over `draws`
+  // independent releases, each on its own substream of one root seed.
+  // Asserts the smoothing fallback never fires (these inputs are
+  // feasible, so a smoothed output would mean the sampler lost mass).
+  Histogram Sample(size_t draws, uint64_t seed) {
+    const PoiReconstructor reconstructor(decomp_.get(), reach_.get());
     Histogram histogram;
     PoiReconstructor::Workspace ws;
     const Rng root(seed);
@@ -192,6 +195,49 @@ class SamplingFidelityTest : public ::testing::Test {
       ++histogram[KeyOf(result->trajectory)];
     }
     return histogram;
+  }
+
+  // The same for the exact DP draw alone (PoiReconstructor::DrawFeasible).
+  Histogram SampleDp(size_t draws, uint64_t seed) {
+    const PoiReconstructor reconstructor(decomp_.get(), reach_.get());
+    Histogram histogram;
+    PoiReconstructor::Workspace ws;
+    const Rng root(seed);
+    for (size_t i = 0; i < draws; ++i) {
+      Rng rng = root.Substream(i);
+      auto drawn = reconstructor.DrawFeasible(regions_, rng, ws);
+      EXPECT_TRUE(drawn.ok()) << drawn.status();
+      if (drawn.ok()) ++histogram[KeyOf(*drawn)];
+    }
+    return histogram;
+  }
+
+  // The same for the paper loop at its γ = 50,000.
+  Histogram SampleReference(size_t draws, uint64_t seed) {
+    const ReferenceLoop paper(decomp_.get(), reach_.get());
+    Histogram histogram;
+    const Rng root(seed);
+    for (size_t i = 0; i < draws; ++i) {
+      Rng rng = root.Substream(i);
+      const ReferenceLoop::Outcome outcome = paper.Run(regions_, rng);
+      EXPECT_FALSE(outcome.smoothed);
+      ++histogram[KeyOf(outcome.trajectory)];
+    }
+    return histogram;
+  }
+
+  // Every key of `hist` is one of `feasible`, and the goodness-of-fit
+  // against uniform-over-F passes.
+  static void ExpectUniformOver(const Histogram& hist,
+                                const std::vector<OutcomeKey>& feasible) {
+    for (const auto& [key, count] : hist) {
+      EXPECT_TRUE(std::find(feasible.begin(), feasible.end(), key) !=
+                  feasible.end());
+    }
+    const auto gof = CompareToUniform(hist, feasible, kDraws);
+    EXPECT_LT(gof.chi2, ChiSquaredCritical(gof.df, 3.72))
+        << "chi2=" << gof.chi2 << " df=" << gof.df;
+    EXPECT_LT(gof.tv, 0.05) << "tv=" << gof.tv;
   }
 
   // Brute-force enumeration of the feasible set: every (POI, timestep)
@@ -257,8 +303,6 @@ class SamplingFidelityTest : public ::testing::Test {
   region::RegionTrajectory regions_;
 };
 
-constexpr size_t kDraws = 50000;
-
 TEST_F(SamplingFidelityTest, FeasibleSetIsNontrivial) {
   // The harness only discriminates if the constraints actually cut the
   // box: the feasible set must be a strict, non-empty subset.
@@ -272,51 +316,38 @@ TEST_F(SamplingFidelityTest, FeasibleSetIsNontrivial) {
   ASSERT_LT(feasible.size(), box);
 }
 
+// The paper loop, the reference of the two-sample test below.
 TEST_F(SamplingFidelityTest, RejectionSamplerIsUniformOverFeasibleSet) {
-  const auto feasible = EnumerateFeasible();
-  const auto hist = Sample(PoiPolicy::kRejection, kDraws, 101);
-  // Every observed outcome must be feasible.
-  for (const auto& [key, count] : hist) {
-    EXPECT_TRUE(std::find(feasible.begin(), feasible.end(), key) !=
-                feasible.end());
-  }
-  const auto gof = CompareToUniform(hist, feasible, kDraws);
-  EXPECT_LT(gof.chi2, ChiSquaredCritical(gof.df, 3.72))
-      << "chi2=" << gof.chi2 << " df=" << gof.df;
-  EXPECT_LT(gof.tv, 0.05) << "tv=" << gof.tv;
+  ExpectUniformOver(SampleReference(kDraws, 101), EnumerateFeasible());
 }
 
+// The sampler: increasing-time proposals, then the DP draw.
 TEST_F(SamplingFidelityTest, GuidedSamplerIsUniformOverFeasibleSet) {
-  const auto feasible = EnumerateFeasible();
-  const auto hist = Sample(PoiPolicy::kGuided, kDraws, 202);
-  for (const auto& [key, count] : hist) {
-    EXPECT_TRUE(std::find(feasible.begin(), feasible.end(), key) !=
-                feasible.end());
-  }
-  const auto gof = CompareToUniform(hist, feasible, kDraws);
-  EXPECT_LT(gof.chi2, ChiSquaredCritical(gof.df, 3.72))
-      << "chi2=" << gof.chi2 << " df=" << gof.df;
-  EXPECT_LT(gof.tv, 0.05) << "tv=" << gof.tv;
+  ExpectUniformOver(Sample(kDraws, 202), EnumerateFeasible());
 }
 
-TEST_F(SamplingFidelityTest, GuidedAndRejectionAreIndistinguishable) {
-  const auto rejection = Sample(PoiPolicy::kRejection, kDraws, 303);
-  const auto guided = Sample(PoiPolicy::kGuided, kDraws, 404);
-  const auto cmp = CompareHistograms(rejection, guided, kDraws, kDraws);
+TEST_F(SamplingFidelityTest, DpDrawIsUniformOverFeasibleSet) {
+  ExpectUniformOver(SampleDp(kDraws, 303), EnumerateFeasible());
+}
+
+TEST_F(SamplingFidelityTest, SamplerAndReferenceLoopAreIndistinguishable) {
+  const auto paper = SampleReference(kDraws, 404);
+  const auto sampler = Sample(kDraws, 405);
+  const auto cmp = CompareHistograms(paper, sampler, kDraws, kDraws);
   EXPECT_LT(cmp.chi2, ChiSquaredCritical(cmp.df, 3.72))
       << "chi2=" << cmp.chi2 << " df=" << cmp.df;
   EXPECT_LT(cmp.tv, 0.05) << "tv=" << cmp.tv;
 }
 
 TEST_F(SamplingFidelityTest, HarnessDetectsABiasedSampler) {
-  // Negative control: the per-step-retry sampler this PR removed (retry
-  // only the failing position instead of the whole attempt) is biased
-  // toward prefixes with many completions. Simulate its bias cheaply by
-  // taking each rejection draw and, with probability ½, replacing it
-  // with the minimum feasible outcome — the harness must reject this
-  // loudly, or the tolerances above are meaningless.
+  // Negative control: a per-step-retry sampler (retry only the failing
+  // position instead of the whole attempt) is biased toward prefixes with
+  // many completions. Simulate such a bias cheaply by taking the
+  // sampler's draws and moving half of every outcome's mass onto the
+  // minimum feasible outcome — the harness must reject this loudly, or
+  // the tolerances above are meaningless.
   const auto feasible = EnumerateFeasible();
-  auto hist = Sample(PoiPolicy::kRejection, kDraws, 505);
+  auto hist = Sample(kDraws, 505);
   Histogram biased = hist;
   // Move half of every outcome's mass onto the first feasible outcome.
   size_t moved = 0;
@@ -334,10 +365,10 @@ TEST_F(SamplingFidelityTest, HarnessDetectsABiasedSampler) {
 }
 
 TEST_F(SamplingFidelityTest, CertificateVerdictMatchesEnumeration) {
-  // The rejection loop's feasibility DP decides whether F is empty; with
-  // γ = 0 it runs before any attempt, so the smoothing cause is its
-  // verdict. Every sequence of one to three regions drawn from the corner
-  // POIs' regions, at the hours where the constraints bind.
+  // The DP's count is |F|, so 0 exactly when F is empty: on the fidelity
+  // world's regions and on every sequence of one to three regions drawn
+  // from the corner POIs' regions, at the hours where the constraints
+  // bind.
   std::vector<region::RegionId> pool;
   for (const model::PoiId poi : {0, 1, 4, 5}) {
     for (const int hour : {10, 13, 16}) {
@@ -348,20 +379,16 @@ TEST_F(SamplingFidelityTest, CertificateVerdictMatchesEnumeration) {
     }
   }
   ASSERT_GE(pool.size(), 4u);
-  PoiReconstructor::Config config;
-  config.gamma = 0;
-  const PoiReconstructor reconstructor(decomp_.get(), reach_.get(), config);
+  const PoiReconstructor reconstructor(decomp_.get(), reach_.get());
   PoiReconstructor::Workspace ws;
   size_t empty = 0, sequences = 0;
   const auto check = [&](const region::RegionTrajectory& regions) {
-    Rng rng(sequences++);
-    auto result = reconstructor.Reconstruct(regions, rng, ws);
-    ASSERT_TRUE(result.ok()) << result.status();
-    const bool certified_empty =
-        result->smoothing_cause == SmoothingCause::kEmptyFeasibleSet;
-    EXPECT_EQ(certified_empty, EnumerateFeasible(regions).empty())
-        << "sequence " << sequences - 1;
-    empty += certified_empty ? 1 : 0;
+    const auto count = reconstructor.CountFeasible(regions, ws);
+    ASSERT_TRUE(count.ok()) << count.status();
+    EXPECT_EQ(*count, static_cast<double>(EnumerateFeasible(regions).size()))
+        << "sequence " << sequences;
+    ++sequences;
+    empty += *count == 0.0 ? 1 : 0;
   };
   check(regions_);
   for (const region::RegionId a : pool) {
@@ -375,34 +402,10 @@ TEST_F(SamplingFidelityTest, CertificateVerdictMatchesEnumeration) {
   EXPECT_LT(empty, sequences);
 }
 
-TEST_F(SamplingFidelityTest, GuidedIsDeterministicAndCheaperThanRejection) {
-  // Same seeds → identical histograms (the statistics above are
-  // constants, not flake), and the guided policy must spend strictly
-  // fewer attempts in aggregate — that is its whole point.
-  const auto a = Sample(PoiPolicy::kGuided, 2000, 606);
-  const auto b = Sample(PoiPolicy::kGuided, 2000, 606);
-  EXPECT_TRUE(a == b);
-
-  PoiReconstructor::Config rejection_config;
-  PoiReconstructor::Config guided_config;
-  guided_config.policy = PoiPolicy::kGuided;
-  PoiReconstructor rejection(decomp_.get(), reach_.get(), rejection_config);
-  PoiReconstructor guided(decomp_.get(), reach_.get(), guided_config);
-  PoiReconstructor::Workspace ws;
-  size_t rejection_attempts = 0, guided_attempts = 0;
-  const Rng root(707);
-  for (size_t i = 0; i < 2000; ++i) {
-    Rng rng1 = root.Substream(i), rng2 = root.Substream(i);
-    auto r = rejection.Reconstruct(regions_, rng1, ws);
-    auto g = guided.Reconstruct(regions_, rng2, ws);
-    ASSERT_TRUE(r.ok());
-    ASSERT_TRUE(g.ok());
-    rejection_attempts += r->attempts;
-    guided_attempts += g->attempts;
-  }
-  EXPECT_LT(guided_attempts * 2, rejection_attempts)
-      << "guided=" << guided_attempts
-      << " rejection=" << rejection_attempts;
+TEST_F(SamplingFidelityTest, SameSeedGivesSameHistogram) {
+  // The statistics above are constants, not flake.
+  EXPECT_TRUE(Sample(2000, 606) == Sample(2000, 606));
+  EXPECT_TRUE(SampleDp(2000, 607) == SampleDp(2000, 607));
 }
 
 }  // namespace

@@ -39,13 +39,6 @@ class StreamingFixture : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<model::PoiDatabase>(std::move(*db));
     time_ = *model::TimeDomain::Create(10);
-    mech_ = BuildMechanism(PoiPolicy::kRejection);
-    ASSERT_NE(mech_, nullptr);
-  }
-
-  // The fixture's world under `policy` — the one place a POI policy is
-  // chosen (NGramConfig::poi.policy).
-  std::unique_ptr<NGramMechanism> BuildMechanism(PoiPolicy policy) const {
     NGramConfig config;
     config.n = 2;
     config.epsilon = 5.0;
@@ -55,11 +48,9 @@ class StreamingFixture : public ::testing::Test {
     config.decomposition.merge.kappa = 1;
     config.reachability.speed_kmh = 30.0;
     config.reachability.reference_gap_minutes = 60;
-    config.poi.policy = policy;
     auto mech = NGramMechanism::Build(db_.get(), time_, config);
-    EXPECT_TRUE(mech.ok()) << mech.status();
-    if (!mech.ok()) return nullptr;
-    return std::make_unique<NGramMechanism>(std::move(*mech));
+    ASSERT_TRUE(mech.ok()) << mech.status();
+    mech_ = std::make_unique<NGramMechanism>(std::move(*mech));
   }
 
   std::vector<region::RegionTrajectory> MakeUsers(size_t count,
@@ -101,13 +92,11 @@ class StreamingFixture : public ::testing::Test {
 
   // Streams `reports` through `num_shards` independent collectors in
   // batches of `batch_size`, optionally over the wire encoding, and
-  // merges the shard outputs. Collectors run `mechanism` (default: the
-  // fixture's rejection-policy mechanism).
+  // merges the shard outputs.
   StatusOr<std::vector<FullRelease>> StreamAndMerge(
       const io::ReportBatch& reports, uint64_t seed, size_t num_shards,
       size_t batch_size, size_t num_threads, size_t queue_capacity,
-      bool encoded, const NGramMechanism* mechanism = nullptr) {
-    if (mechanism == nullptr) mechanism = mech_.get();
+      bool encoded) {
     const ShardPlan plan{num_shards};
     auto sharded = PartitionByShard(plan, io::ReportBatch(reports));
     std::vector<std::vector<UserRelease>> outputs(sharded.size());
@@ -116,7 +105,7 @@ class StreamingFixture : public ::testing::Test {
       config.num_threads = num_threads;
       config.queue_capacity = queue_capacity;
       StreamingCollector collector(
-          mechanism, seed,
+          mech_.get(), seed,
           [&outputs, s](UserRelease release) {
             outputs[s].push_back(std::move(release));
           },
@@ -192,47 +181,6 @@ TEST_F(StreamingFixture, AnyShardCountBatchSizeAndThreadCountIsBitIdentical) {
             << threads << ": " << merged.status();
         ExpectIdenticalReleases(*merged, reference);
       }
-    }
-  }
-}
-
-// Satellite of ISSUE 4: the guided POI policy flows through the wire /
-// ingest path exactly like rejection does — K shards under the guided
-// policy merge bit-identically to a single guided collector AND to the
-// guided batch engine, because guided draws are a pure function of
-// (seed, global user id) via the collector stream's guided substream.
-TEST_F(StreamingFixture, GuidedPolicyShardsAreBitIdentical) {
-  const uint64_t seed = 20260729;
-  const auto users = MakeUsers(20, 7);
-  const auto reports = MakeReports(users, seed);
-
-  // Guided reference: the batch engine over a guided mechanism.
-  const auto guided = BuildMechanism(PoiPolicy::kGuided);
-  ASSERT_NE(guided, nullptr);
-  BatchReleaseEngine engine(guided.get(), BatchReleaseEngine::Config{2});
-  auto reference = engine.ReleaseAllFull(users, seed);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-
-  // The guided policy must actually change the draws somewhere —
-  // otherwise this test degenerates into the rejection test.
-  const auto rejection_reference = Reference(users, seed);
-  bool any_different = false;
-  for (size_t i = 0; i < reference->size(); ++i) {
-    if (!((*reference)[i].trajectory == rejection_reference[i].trajectory)) {
-      any_different = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(any_different);
-
-  for (const size_t shards : {1u, 4u}) {
-    for (const bool encoded : {false, true}) {
-      auto merged = StreamAndMerge(reports, seed, shards, /*batch_size=*/3,
-                                   /*num_threads=*/2, /*queue_capacity=*/2,
-                                   encoded, guided.get());
-      ASSERT_TRUE(merged.ok()) << "shards " << shards << " encoded "
-                               << encoded << ": " << merged.status();
-      ExpectIdenticalReleases(*merged, *reference);
     }
   }
 }
@@ -696,7 +644,7 @@ TEST(MergeShardReleasesTest, OutOfRangeUserReported) {
   EXPECT_EQ(merged.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(StreamingTelemetryTest, CountsPoiAttemptsAndSmoothingCauses) {
+TEST(StreamingTelemetryTest, CountsPoiAttemptsAndSmoothedReleases) {
   // A 1 km lattice with one-hour regions of six 10-minute timesteps.
   // Region r holds POIs 0 and 4; a report asking for seven visits to it
   // has an empty feasible set (time order), one asking for two does not.
@@ -742,9 +690,7 @@ TEST(StreamingTelemetryTest, CountsPoiAttemptsAndSmoothingCauses) {
     const bool futile = user.user_id == 0;
     EXPECT_EQ(user.release.regions,
               region::RegionTrajectory(futile ? 7 : 2, r));
-    EXPECT_EQ(user.release.smoothing_cause,
-              futile ? SmoothingCause::kEmptyFeasibleSet
-                     : SmoothingCause::kNone);
+    EXPECT_EQ(user.release.smoothed, futile);
   }
 
   const obs::RegistrySnapshot snapshot = registry.Snapshot();
@@ -752,15 +698,11 @@ TEST(StreamingTelemetryTest, CountsPoiAttemptsAndSmoothingCauses) {
       snapshot.Find("trajldp_collector_poi_attempts_total");
   ASSERT_NE(attempts_total, nullptr);
   EXPECT_EQ(attempts_total->value, static_cast<double>(attempts));
-  const obs::MetricSnapshot* empty = snapshot.Find(
-      "trajldp_collector_poi_smoothed_total",
-      {{"cause", "empty_feasible_set"}});
-  ASSERT_NE(empty, nullptr);
-  EXPECT_EQ(empty->value, 1.0);
-  const obs::MetricSnapshot* capped = snapshot.Find(
-      "trajldp_collector_poi_smoothed_total", {{"cause", "retry_cap"}});
-  ASSERT_NE(capped, nullptr);
-  EXPECT_EQ(capped->value, 0.0);
+  const obs::MetricSnapshot* smoothed =
+      snapshot.Find("trajldp_collector_poi_smoothed_total");
+  ASSERT_NE(smoothed, nullptr);
+  EXPECT_TRUE(smoothed->labels.empty());
+  EXPECT_EQ(smoothed->value, 1.0);
 }
 
 }  // namespace
