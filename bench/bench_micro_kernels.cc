@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the
 // mechanism: haversine distance, Gumbel-max EM selection, the factored
-// n-gram path sampler, region distance fan-out, the spatial index, the
-// Viterbi reconstruction DP, and the simplex solver. Useful for tracking
-// regressions in the paths that dominate Figure 9's runtime curves.
+// n-gram path sampler, region distance fan-out and build, the spatial
+// index, the Viterbi reconstruction DP, and the simplex solver. Useful
+// for tracking regressions in the paths that dominate Figure 9's runtime
+// curves.
 
 #include <benchmark/benchmark.h>
 
@@ -104,6 +105,27 @@ void BM_RegionDistanceFanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionDistanceFanOut)->Arg(500)->Arg(2000);
 
+// The distance matrix build, which computes d_s and d_c once per pair of
+// (centroid, category) keys and d_t per region pair. The hourly
+// lattice's keys recur once per hour; the all-day lattice's regions are
+// one key each.
+void BM_RegionDistanceBuild(benchmark::State& state) {
+  RegionWorld& world = SharedWorld(static_cast<size_t>(state.range(0)),
+                                   static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    const region::RegionDistance distance(world.decomp.get());
+    benchmark::DoNotOptimize(distance.ToAll(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["regions"] = static_cast<double>(world.graph->num_regions());
+  state.counters["poi_sets"] =
+      static_cast<double>(world.graph->num_poi_sets());
+}
+BENCHMARK(BM_RegionDistanceBuild)
+    ->Args({2000, 60})
+    ->Args({2000, 1440})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_BigramSample(benchmark::State& state) {
   RegionWorld& world = SharedWorld(static_cast<size_t>(state.range(0)));
   Rng rng(7);
@@ -118,9 +140,11 @@ BENCHMARK(BM_BigramSample)->Arg(500)->Arg(2000);
 
 // The §5.5 DP solve on realistic inputs: a trajectory's perturbed
 // n-gram set over the full region set as candidates. The graph picks the
-// relaxation (counter relax_by_set): the hourly lattices relax one POI
-// set at a time, the all-day one builds the candidate in-adjacency and
-// relaxes one edge at a time.
+// relaxation (counter relax_by_set). The hourly lattices relax one POI
+// set at a time: each layer ranks every interval end's prefix minima
+// once, and each target walks its end's ranking to the first set that
+// precedes its own. The all-day one builds the candidate in-adjacency
+// and relaxes one edge at a time.
 void BM_ViterbiReconstruct(benchmark::State& state) {
   RegionWorld& world = SharedWorld(static_cast<size_t>(state.range(0)),
                                    static_cast<int>(state.range(1)));

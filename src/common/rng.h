@@ -51,29 +51,15 @@ class Rng {
     return result;
   }
 
-  /// The raw words UniformUint64(bound) rejects are exactly those below
-  /// this threshold, 2^64 mod bound: what is left is a whole number of
-  /// copies of [0, bound), so the final `% bound` is unbiased. `bound`
-  /// must be positive. Hoisting it out of a loop saves one 64-bit
-  /// division per draw.
-  static uint64_t RejectionThreshold(uint64_t bound) {
-    return (0ULL - bound) % bound;
-  }
-
-  /// The next raw word at or above `threshold`, drawing as many words as
-  /// that takes: the accept step of UniformUint64. A caller that needs
-  /// only some of its draws reduced still advances the generator exactly
-  /// as UniformUint64 would.
-  uint64_t NextAccepted(uint64_t threshold) {
+  /// Uniform integer in [0, bound). `bound` must be positive. Raw words
+  /// below 2^64 mod bound are rejected: what is left is a whole number of
+  /// copies of [0, bound), so the final `% bound` is unbiased.
+  uint64_t UniformUint64(uint64_t bound) {
+    const uint64_t threshold = (0ULL - bound) % bound;
     for (;;) {
       const uint64_t r = NextUint64();
-      if (r >= threshold) return r;
+      if (r >= threshold) return r % bound;
     }
-  }
-
-  /// Uniform integer in [0, bound). `bound` must be positive.
-  uint64_t UniformUint64(uint64_t bound) {
-    return NextAccepted(RejectionThreshold(bound)) % bound;
   }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.

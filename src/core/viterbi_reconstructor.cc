@@ -1,6 +1,7 @@
 #include "core/viterbi_reconstructor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -144,6 +145,28 @@ DpRows RelaxByEdge(const ReconstructionProblem& problem, AlignedArena& arena) {
   return rows;
 }
 
+// One entry of an end's ranking: a (dp, index) prefix minimum and the
+// present set it came from. Empty slots hold (+∞, −1).
+struct RankedSet {
+  double cost;
+  int32_t index;
+  uint32_t set;
+};
+
+// Inserts a finite entry into an end's ranking, which keeps that row's
+// kRankedSets lowest entries in ascending (dp, index) order. Every
+// finite entry precedes an empty slot.
+inline void Rank(const RankedSet& entry, RankedSet* top) {
+  size_t j = ViterbiReconstructor::kRankedSets - 1;
+  if (!Precedes(entry.cost, entry.index, top[j].cost, top[j].index)) return;
+  for (; j > 0 && Precedes(entry.cost, entry.index, top[j - 1].cost,
+                           top[j - 1].index);
+       --j) {
+    top[j] = top[j - 1];
+  }
+  top[j] = entry;
+}
+
 // One POI set at a time, through the graph's factored edge test: u → c
 // is an edge iff begin(u) + g_t < end(c) and poi_set(u) is a spatial
 // predecessor of poi_set(c). Along one set ordered by interval begin,
@@ -151,7 +174,17 @@ DpRows RelaxByEdge(const ReconstructionProblem& problem, AlignedArena& arena) {
 // predecessor is the (dp, index) minimum over one prefix minimum per
 // predecessor set. Sets here are the present ones, those with a
 // candidate, numbered 0..P−1 in candidate order.
+//
+// Sets have disjoint members, so no two finite entries of one end's row
+// share an index and (dp, index) orders them strictly. Each layer ranks
+// every end's row once, and a target takes the first ranked set its own
+// set accepts as a predecessor: that is the minimum over its
+// predecessors. Only when the ranking is full and holds none of them
+// does the target scan its predecessors; a ranking that is not full
+// holds every finite entry of its row, so a miss there means no finite
+// predecessor.
 DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
+  constexpr size_t kRanked = ViterbiReconstructor::kRankedSets;
   const size_t len = problem.traj_len();
   const auto& candidates = problem.candidates();
   const size_t num_cand = candidates.size();
@@ -163,20 +196,18 @@ DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
   const int g_t = graph.decomposition().time().granularity_minutes();
 
   const size_t max_present = std::min(num_sets, num_cand);
-  size_t max_links = 0;
-  for (uint32_t s = 0; s < num_sets; ++s) {
-    max_links += graph.SetPredecessors(s).size();
-  }
+  const size_t max_words = (max_present + 63) / 64;
   arena.Reset(DpRowBytes(len, num_cand) +
               AlignedArena::BytesFor<int32_t>(num_regions) +
               AlignedArena::BytesFor<int32_t>(num_sets) +
               AlignedArena::BytesFor<uint32_t>(max_present) +
-              2 * AlignedArena::BytesFor<uint32_t>(max_present + 1) +
+              AlignedArena::BytesFor<uint32_t>(max_present + 1) +
               AlignedArena::BytesFor<int32_t>(num_cand) +
               AlignedArena::BytesFor<uint32_t>(num_ends * max_present) +
-              AlignedArena::BytesFor<uint32_t>(max_links) +
+              AlignedArena::BytesFor<uint64_t>(max_present * max_words) +
               AlignedArena::BytesFor<double>(num_ends * max_present) +
-              AlignedArena::BytesFor<int32_t>(num_ends * max_present));
+              AlignedArena::BytesFor<int32_t>(num_ends * max_present) +
+              AlignedArena::BytesFor<RankedSet>(num_ends * kRanked));
   DpRows rows = CarveDpRows(problem, arena);
   // cand_index[region] = candidate index, or −1 when not a candidate.
   int32_t* cand_index = arena.Carve<int32_t>(num_regions);
@@ -191,12 +222,14 @@ DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
   // prefix_end[e · P + p]: end of the prefix of p's members that begin
   // more than g_t before distinct end e.
   uint32_t* prefix_end = arena.Carve<uint32_t>(num_ends * max_present);
-  // links[link_offsets[p] ..] = the present predecessor sets of p.
-  uint32_t* link_offsets = arena.Carve<uint32_t>(max_present + 1);
-  uint32_t* links = arena.Carve<uint32_t>(max_links);
+  // Bit q of accepts[p · words ..] is set iff present set q is a
+  // predecessor of p.
+  uint64_t* accepts = arena.Carve<uint64_t>(max_present * max_words);
   // best_*[e · P + p]: the (dp, index) minimum over that prefix.
   double* best_cost = arena.Carve<double>(num_ends * max_present);
   int32_t* best_index = arena.Carve<int32_t>(num_ends * max_present);
+  // ranked[e · kRanked ..]: end e's ranking.
+  RankedSet* ranked = arena.Carve<RankedSet>(num_ends * kRanked);
 
   std::fill_n(cand_index, num_regions, int32_t{-1});
   std::fill_n(present_id, num_sets, int32_t{-1});
@@ -209,12 +242,12 @@ DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
       present_set[num_present++] = s;
     }
   }
+  const size_t words = (num_present + 63) / 64;
+  std::fill_n(accepts, num_present * words, uint64_t{0});
   // Candidate indices ascend with region ids, so the graph's
   // (begin, id) member order filtered to candidates is (begin, index).
   member_offsets[0] = 0;
-  link_offsets[0] = 0;
   size_t num_members = 0;
-  size_t num_links = 0;
   for (size_t p = 0; p < num_present; ++p) {
     for (RegionId r : graph.SetMembers(present_set[p])) {
       if (cand_index[r] >= 0) members[num_members++] = cand_index[r];
@@ -229,11 +262,9 @@ DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
       prefix_end[e * num_present + p] = static_cast<uint32_t>(k);
     }
     for (uint32_t from : graph.SetPredecessors(present_set[p])) {
-      if (present_id[from] >= 0) {
-        links[num_links++] = static_cast<uint32_t>(present_id[from]);
-      }
+      const int32_t q = present_id[from];
+      if (q >= 0) accepts[p * words + q / 64] |= uint64_t{1} << (q % 64);
     }
-    link_offsets[p + 1] = static_cast<uint32_t>(num_links);
   }
 
   for (size_t i = 1; i < len; ++i) {
@@ -241,7 +272,10 @@ DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
     const double mult = problem.Multiplicity(i);
     const double* err = problem.NodeErrorRow(i);
     // Prefix minima along each present set, one table entry per
-    // (distinct end, set).
+    // (distinct end, set), ranked into their end's row as they come.
+    // An infinite dp never enters a minimum, so an entry is finite iff
+    // its index is set.
+    std::fill_n(ranked, num_ends * kRanked, RankedSet{kInf, -1, 0});
     for (size_t p = 0; p < num_present; ++p) {
       double cost = kInf;
       int32_t index = -1;
@@ -257,20 +291,40 @@ DpRows RelaxBySet(const ReconstructionProblem& problem, AlignedArena& arena) {
         }
         best_cost[e * num_present + p] = cost;
         best_index[e * num_present + p] = index;
+        if (index >= 0) {
+          Rank({cost, index, static_cast<uint32_t>(p)}, ranked + e * kRanked);
+        }
       }
     }
     // Each target: the minimum over its set's predecessors at its end.
     for (size_t p = 0; p < num_present; ++p) {
+      const uint64_t* accepted = accepts + p * words;
       for (size_t k = member_offsets[p]; k < member_offsets[p + 1]; ++k) {
         const auto c = static_cast<size_t>(members[k]);
-        const size_t row = graph.end_index(candidates[c]) * num_present;
+        const size_t e = graph.end_index(candidates[c]);
+        // The walk stops at the first accepted set or at an empty slot,
+        // which settles (+∞, −1); past a full ranking it scans.
+        const RankedSet* top = ranked + e * kRanked;
+        size_t j = 0;
+        while (j < kRanked && top[j].index >= 0 &&
+               !((accepted[top[j].set / 64] >> (top[j].set % 64)) & 1)) {
+          ++j;
+        }
         double best = kInf;
         int32_t arg = -1;
-        for (size_t l = link_offsets[p]; l < link_offsets[p + 1]; ++l) {
-          const size_t q = row + links[l];
-          if (Precedes(best_cost[q], best_index[q], best, arg)) {
-            best = best_cost[q];
-            arg = best_index[q];
+        if (j < kRanked) {
+          best = top[j].cost;
+          arg = top[j].index;
+        } else {
+          const size_t row = e * num_present;
+          for (size_t w = 0; w < words; ++w) {
+            for (uint64_t bits = accepted[w]; bits != 0; bits &= bits - 1) {
+              const size_t q = row + w * 64 + std::countr_zero(bits);
+              if (Precedes(best_cost[q], best_index[q], best, arg)) {
+                best = best_cost[q];
+                arg = best_index[q];
+              }
+            }
           }
         }
         Settle(best, arg, mult, err[c], rows.next[c], parent_row[c]);

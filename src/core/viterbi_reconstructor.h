@@ -1,6 +1,8 @@
 #ifndef TRAJLDP_CORE_VITERBI_RECONSTRUCTOR_H_
 #define TRAJLDP_CORE_VITERBI_RECONSTRUCTOR_H_
 
+#include <cstddef>
+
 #include "common/aligned_arena.h"
 #include "common/status_or.h"
 #include "core/reconstruction.h"
@@ -12,7 +14,8 @@ namespace trajldp::core {
 /// rows, the flattened parent table, the region→candidate index map, and
 /// the relaxation's own tables — the candidate-restricted in-adjacency
 /// (CSR, 32-bit offsets) when the graph relaxes one edge at a time, or
-/// the per-set member lists, prefix bounds and predecessor lists when it
+/// the per-set member lists, prefix bounds, predecessor bitsets, the
+/// (end, set) prefix-minimum table and each end's ranking when it
 /// relaxes one POI set at a time. One arena Reset per solve, and every
 /// array starts on its own cache line. The arena grows to the largest
 /// problem seen and is then reused allocation-free.
@@ -37,7 +40,11 @@ struct ViterbiWorkspace {
 ///  * per POI set: u → c is an edge iff begin(u) + g_t < end(c) and
 ///    u's POI set is a spatial predecessor of c's, so c's best
 ///    predecessor is the (dp, index) minimum over one prefix minimum per
-///    predecessor set, O(L · Σ_c |predecessor sets of c|).
+///    predecessor set. Each layer ranks the kRankedSets lowest prefix
+///    minima of every distinct interval end, and a target walks its end's
+///    ranking to the first set its own set accepts; it scans its
+///    predecessor sets only when the full ranking holds none of them.
+///    A layer costs O(candidates + sets × ends) when the walks hit.
 /// Both return the same sequence on every problem.
 ///
 /// This is the collector's solver: CollectorPipeline calls it for every
@@ -46,6 +53,9 @@ struct ViterbiWorkspace {
 /// reconstruction ablation bench compare it against.
 class ViterbiReconstructor {
  public:
+  /// Entries each distinct end's ranking keeps in the per-set relaxation.
+  static constexpr size_t kRankedSets = 8;
+
   /// Writes the optimal region sequence (length traj_len) into `out`, or
   /// fails with FailedPrecondition when no feasible sequence exists over
   /// the candidate set. Uses only `ws` as scratch, so a batch pipeline

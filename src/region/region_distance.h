@@ -22,11 +22,19 @@ namespace trajldp::region {
 /// zeroing the time and category weights.
 ///
 /// Construction precomputes the full symmetric R × R distance matrix once
-/// (O(R²) time, 4·R² bytes as floats). Region distances are public data —
-/// they depend only on the decomposition, never on user trajectories — so
-/// one table serves every user, n-gram slot, and thread. ToAll() then is a
-/// constant-time row view instead of an O(R) haversine + category-tree
-/// sweep, which is what the perturber hits once per n-gram slot per user.
+/// (4·R² bytes as floats). d_s reads only the two regions' centroids and
+/// d_c only their category nodes, so construction computes those once per
+/// pair of distinct (centroid, category) keys — at most K² haversines for
+/// K keys, and never more than R(R+1)/2 — and per region pair only d_t
+/// and the combination. Every entry is bit-equal to
+/// float(Between(max(a, b), min(a, b))). The city's 1,563 hourly regions
+/// hold 163 keys; an all-day lattice's regions are one key each.
+///
+/// Region distances are public data — they depend only on the
+/// decomposition, never on user trajectories — so one table serves every
+/// user, n-gram slot, and thread. ToAll() then is a constant-time row
+/// view instead of an O(R) haversine + category-tree sweep, which is what
+/// the perturber hits once per n-gram slot per user.
 class RegionDistance {
  public:
   /// Per-dimension multipliers applied inside the combination (eq. 15

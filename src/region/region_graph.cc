@@ -150,14 +150,14 @@ RegionGraph RegionGraph::Build(const StcDecomposition& decomp,
         static_cast<uint32_t>(graph.predecessors_.size());
   }
 
-  // The relaxation's cost test: per layer the set path scans one entry
-  // per region and predecessor set plus a sets × distinct-ends table,
-  // the edge path one entry per edge. A set entry measured up to twice
-  // an edge's cost (docs/PERF.md §Set relaxation).
-  size_t set_entries = num_sets * graph.ends_.size();
-  for (size_t s = 0; s < num_sets; ++s) {
-    set_entries += graph.SetMembers(s).size() * graph.SetPredecessors(s).size();
-  }
+  // The relaxation's cost test. Per layer the set path takes one prefix
+  // minimum per region, fills and ranks a sets × distinct-ends table and
+  // walks one ranking per region; only its per-user predecessor bitsets
+  // scale with Σ_s |SetPredecessors(s)|. The edge path scans one entry
+  // per edge in every layer. A set entry measured up to twice an edge's
+  // cost (docs/PERF.md §Ranked walk).
+  const size_t set_entries =
+      graph.predecessors_.size() + num_sets * graph.ends_.size() + 2 * n;
   graph.relax_by_set_ = 2 * set_entries < graph.num_edges();
   return graph;
 }

@@ -88,8 +88,8 @@ class RegionGraph {
   uint32_t end_index(RegionId r) const { return end_index_[r]; }
 
   /// True when the per-set relaxation is expected to beat the per-edge
-  /// one: 2 · (Σ_r |SetPredecessors(poi_set(r))| + sets × distinct ends)
-  /// < num_edges(). docs/PERF.md §Set relaxation derives the factor 2.
+  /// one: 2 · (Σ_s |SetPredecessors(s)| + sets × distinct ends +
+  /// 2 · regions) < num_edges(). docs/PERF.md §Ranked walk derives it.
   bool relax_by_set() const { return relax_by_set_; }
 
   const StcDecomposition& decomposition() const { return *decomp_; }

@@ -188,16 +188,8 @@ TEST(RngRejectionTest, NextUint64WordsArePinned) {
             4013571156380768369ULL);
 }
 
-TEST(RngRejectionTest, ThresholdIsTwoToTheSixtyFourModBound) {
-  EXPECT_EQ(Rng::RejectionThreshold(1), 0u);
-  EXPECT_EQ(Rng::RejectionThreshold(2), 0u);
-  EXPECT_EQ(Rng::RejectionThreshold(3), 1u);
-  EXPECT_EQ(Rng::RejectionThreshold(1000), 616u);
-  EXPECT_EQ(Rng::RejectionThreshold((uint64_t{1} << 63) + 1),
-            (uint64_t{1} << 63) - 1);
-  EXPECT_EQ(Rng::RejectionThreshold(~uint64_t{0}), 1u);
-}
-
+// UniformUint64 against its definition: raw words below 2^64 mod bound
+// are rejected and the first accepted word is reduced modulo the bound.
 TEST(RngRejectionTest, UniformEqualsAcceptedWordModuloBound) {
   const uint64_t bounds[] = {1,
                              2,
@@ -207,23 +199,21 @@ TEST(RngRejectionTest, UniformEqualsAcceptedWordModuloBound) {
                              (uint64_t{1} << 63) + 1,
                              ~uint64_t{0}};
   for (const uint64_t bound : bounds) {
-    const uint64_t threshold = Rng::RejectionThreshold(bound);
-    Rng uniform(bound), accepted(bound), raw(bound);
+    const uint64_t threshold = (0ULL - bound) % bound;
+    Rng uniform(bound), raw(bound);
     size_t raw_words = 0;
     constexpr int kDraws = 2000;
     for (int i = 0; i < kDraws; ++i) {
-      const uint64_t want = uniform.UniformUint64(bound);
-      ASSERT_EQ(accepted.NextAccepted(threshold) % bound, want)
-          << "bound " << bound << " draw " << i;
-      // Count the raw words one draw consumes.
+      uint64_t word;
       do {
+        word = raw.NextUint64();
         ++raw_words;
-      } while (raw.NextUint64() < threshold);
+      } while (word < threshold);
+      ASSERT_EQ(uniform.UniformUint64(bound), word % bound)
+          << "bound " << bound << " draw " << i;
     }
-    // All three generators end in the same state.
-    const uint64_t next = uniform.NextUint64();
-    EXPECT_EQ(accepted.NextUint64(), next) << "bound " << bound;
-    EXPECT_EQ(raw.NextUint64(), next) << "bound " << bound;
+    // Both generators end in the same state.
+    EXPECT_EQ(raw.NextUint64(), uniform.NextUint64()) << "bound " << bound;
     if (bound == (uint64_t{1} << 63) + 1) {
       // Half of all raw words fall below this threshold: the retry
       // branch ran.

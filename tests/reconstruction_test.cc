@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/reconstruction.h"
 #include "core/viterbi_reconstructor.h"
 #include "geo/latlon.h"
+#include "hierarchy/category_tree.h"
 #include "model/opening_hours.h"
 #include "region/region_index.h"
 #include "test_world.h"
@@ -482,13 +484,85 @@ TEST_F(ReconstructionFixture, InfeasibleCandidateSetReported) {
 
 // ---------- The set relaxation against the per-edge relaxation ----------
 
+// The ranked walk's branch for a target of the per-set relaxation:
+// the ranking holds a predecessor set; it is full and holds none, so the
+// target scans; it is short and holds finite entries, none of them a
+// predecessor; or its row has no finite entry at all.
+enum class Walk { kHit, kScan, kSettle, kEmpty };
+
+// The branch the ranked walk takes for every target of one layer, from
+// the previous layer's dp: the row of the target's end holds, per POI
+// set, the (dp, index) minimum over the set's candidates that begin more
+// than g_t before that end; the walk looks at the row's kRankedSets
+// lowest finite entries and hits on the first set the target's own set
+// accepts. On a miss it scans when the row has kRankedSets finite entries
+// or more, and settles (+∞, −1) without a scan when it has fewer.
+std::vector<Walk> WalkBranches(const ReconstructionProblem& problem,
+                               const std::vector<double>& dp) {
+  using Entry = std::pair<std::pair<double, size_t>, uint32_t>;
+  const region::RegionGraph& graph = problem.graph();
+  const auto& candidates = problem.candidates();
+  const int g_t = graph.decomposition().time().granularity_minutes();
+  std::map<int, std::vector<Entry>> ranked_by_end;
+  std::vector<Walk> walk(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const int end = graph.interval_end(candidates[c]);
+    auto [ranked, inserted] = ranked_by_end.try_emplace(end);
+    if (inserted) {
+      std::map<uint32_t, std::pair<double, size_t>> row;
+      for (size_t u = 0; u < candidates.size(); ++u) {
+        if (std::isinf(dp[u]) ||
+            graph.interval_begin(candidates[u]) + g_t >= end) {
+          continue;
+        }
+        const auto [it, fresh] =
+            row.try_emplace(graph.poi_set(candidates[u]), dp[u], u);
+        if (!fresh) it->second = std::min(it->second, std::pair(dp[u], u));
+      }
+      for (const auto& [set, entry] : row) {
+        ranked->second.push_back({entry, set});
+      }
+      std::ranges::sort(ranked->second);
+    }
+    const std::vector<Entry>& row = ranked->second;
+    const size_t depth =
+        std::min(row.size(), ViterbiReconstructor::kRankedSets);
+    const auto accepts =
+        graph.SetPredecessors(graph.poi_set(candidates[c]));
+    const bool hit = std::any_of(row.begin(), row.begin() + depth,
+                                 [&](const Entry& entry) {
+                                   return std::ranges::binary_search(
+                                       accepts, entry.second);
+                                 });
+    if (hit) {
+      walk[c] = Walk::kHit;
+    } else if (row.size() >= ViterbiReconstructor::kRankedSets) {
+      walk[c] = Walk::kScan;
+    } else {
+      walk[c] = row.empty() ? Walk::kEmpty : Walk::kSettle;
+    }
+  }
+  return walk;
+}
+
+// What the reference saw on one problem. `ties` counts the returned
+// path's parents that had an equal-cost rival, the ones the tie-break
+// decided. When the graph relaxes by set, `scans_on_path` counts the
+// returned path's targets whose walk fell back to the scan, and
+// `settles` the targets whose walk met finite entries, none of them a
+// predecessor, and settled without a scan.
+struct Observed {
+  size_t ties = 0;
+  size_t scans_on_path = 0;
+  size_t settles = 0;
+};
+
 // The per-edge relaxation, kept as the reference for the per-set one the
 // way RegionGraphTest keeps the all-pairs loop: in-neighbours from the
 // graph's CSR in ascending candidate order and a strict < pull, so the
-// lowest index wins among equal costs. `ties` counts the returned path's
-// parents that had an equal-cost rival, the ones that tie-break decided.
+// lowest index wins among equal costs.
 StatusOr<region::RegionTrajectory> ReferencePull(
-    const ReconstructionProblem& problem, size_t& ties) {
+    const ReconstructionProblem& problem, Observed& observed) {
   const size_t len = problem.traj_len();
   const auto& candidates = problem.candidates();
   const size_t num_cand = candidates.size();
@@ -508,7 +582,12 @@ StatusOr<region::RegionTrajectory> ReferencePull(
   }
   std::vector<std::vector<int64_t>> parent(len, std::vector<int64_t>(num_cand));
   std::vector<std::vector<bool>> tied(len, std::vector<bool>(num_cand));
+  std::vector<std::vector<Walk>> walk(len);
   for (size_t i = 1; i < len; ++i) {
+    if (problem.graph().relax_by_set()) {
+      walk[i] = WalkBranches(problem, dp);
+      observed.settles += std::ranges::count(walk[i], Walk::kSettle);
+    }
     std::vector<double> next(num_cand, kInf);
     for (size_t c = 0; c < num_cand; ++c) {
       double best = kInf;
@@ -544,7 +623,10 @@ StatusOr<region::RegionTrajectory> ReferencePull(
   for (size_t i = len; i-- > 0;) {
     out[i] = candidates[cur];
     if (i > 0) {
-      ties += tied[i][cur] ? 1 : 0;
+      observed.ties += tied[i][cur] ? 1 : 0;
+      if (!walk[i].empty() && walk[i][cur] == Walk::kScan) {
+        ++observed.scans_on_path;
+      }
       cur = static_cast<size_t>(parent[i][cur]);
     }
   }
@@ -596,7 +678,8 @@ TEST(ViterbiRelaxationTest, BothRelaxationsReturnTheSameSequence) {
   region::RegionTrajectory out;
   bool ran_by_set = false, ran_by_edge = false, infeasible = false,
        isolated = false;
-  size_t ties = 0, solves = 0;
+  Observed seen;
+  size_t solves = 0;
   for (World& world : worlds) {
     SCOPED_TRACE(world.name);
     ASSERT_TRUE(world.db.ok());
@@ -660,7 +743,7 @@ TEST(ViterbiRelaxationTest, BothRelaxationsReturnTheSameSequence) {
               problem.Reset(&distance, &graph, len, *z, candidates).ok());
           const Status status =
               ViterbiReconstructor::ReconstructInto(problem, ws, out);
-          const auto expected = ReferencePull(problem, ties);
+          const auto expected = ReferencePull(problem, seen);
           ASSERT_EQ(status.code(), expected.status().code())
               << "len " << len << ", " << candidates.size()
               << " candidates: " << status;
@@ -679,7 +762,122 @@ TEST(ViterbiRelaxationTest, BothRelaxationsReturnTheSameSequence) {
   EXPECT_TRUE(ran_by_edge);
   EXPECT_TRUE(infeasible);
   EXPECT_TRUE(isolated);
-  EXPECT_GT(ties, 0u) << "over " << solves << " solves";
+  EXPECT_GT(seen.ties, 0u) << "over " << solves << " solves";
+
+}
+
+// Two 3 × 3 lattices of POIs 1 km apart and 50 km from each other, so
+// no region of one reaches a region of the other. Each POI lands in its
+// own cell, so each is its own POI set. The near lattice is open
+// 11:00–13:00, the far one 12:00–13:00.
+StatusOr<model::PoiDatabase> TwoLatticeWorld() {
+  hierarchy::CategoryTree tree = trajldp::testing::MakeSmallTree();
+  const std::vector<hierarchy::CategoryId> leaves = tree.Leaves();
+  const geo::LatLon origin{40.7000, -74.0000};
+  std::vector<model::Poi> pois;
+  for (int lattice = 0; lattice < 2; ++lattice) {
+    for (int r = 0; r < 3; ++r) {
+      for (int c = 0; c < 3; ++c) {
+        model::Poi poi;
+        poi.name = "poi_" + std::to_string(pois.size());
+        poi.location = geo::OffsetKm(origin, 50.0 * lattice + c, r);
+        poi.category = leaves[pois.size() % leaves.size()];
+        poi.hours = model::OpeningHours::Daily(lattice == 0 ? 660 : 720, 780);
+        pois.push_back(std::move(poi));
+      }
+    }
+  }
+  return model::PoiDatabase::Create(std::move(pois), std::move(tree));
+}
+
+// The walk's two misses. A report observed first in the near lattice and
+// then in the far one is reconstructed in the far one, but in the first
+// layer every near set has a lower prefix minimum than any far set, so
+// the path's target finds a full ranking of near sets, none of them its
+// predecessor, and must scan. With the near candidates cut to fewer than
+// kRankedSets sets, a far target in the far lattice's first interval
+// meets only near entries in a short ranking: it settles without a scan.
+TEST(ViterbiRelaxationTest, MissedRankingsScanOrSettle) {
+  auto db = TwoLatticeWorld();
+  ASSERT_TRUE(db.ok());
+  region::DecompositionConfig config;
+  config.grid_size = 64;
+  config.coarse_grids = {1};
+  config.base_interval_minutes = 10;
+  config.merge.kappa = 1;
+  const auto time = *model::TimeDomain::Create(10);
+  auto decomp = region::StcDecomposition::Build(&*db, time, config);
+  ASSERT_TRUE(decomp.ok());
+  region::RegionDistance distance(&*decomp);
+  const auto graph = region::RegionGraph::Build(*decomp, {8.0, 60});
+  ASSERT_TRUE(graph.relax_by_set());
+  ASSERT_EQ(graph.num_poi_sets(), db->size());
+  ASSERT_GT(graph.num_poi_sets() / 2, ViterbiReconstructor::kRankedSets);
+
+  // The regions of each lattice, and the near lattice's sets in region
+  // order.
+  const double midway =
+      0.5 * (db->poi(0).location.lon + db->poi(9).location.lon);
+  const auto near = [&](region::RegionId r) {
+    return decomp->region(r).centroid.lon < midway;
+  };
+  std::vector<region::RegionId> all, near_regions, far_regions;
+  std::vector<uint32_t> near_sets;
+  for (region::RegionId r = 0; r < decomp->num_regions(); ++r) {
+    all.push_back(r);
+    (near(r) ? near_regions : far_regions).push_back(r);
+    if (near(r) && std::ranges::find(near_sets, graph.poi_set(r)) ==
+                       near_sets.end()) {
+      near_sets.push_back(graph.poi_set(r));
+    }
+  }
+  ASSERT_EQ(near_sets.size(), db->size() / 2);
+  // All far regions and the near regions of kRankedSets − 1 sets.
+  const std::vector<uint32_t> kept(
+      near_sets.begin(),
+      near_sets.begin() + ViterbiReconstructor::kRankedSets - 1);
+  std::vector<region::RegionId> short_ranking = far_regions;
+  for (region::RegionId r : near_regions) {
+    if (std::ranges::find(kept, graph.poi_set(r)) != kept.end()) {
+      short_ranking.push_back(r);
+    }
+  }
+  std::ranges::sort(short_ranking);
+
+  ViterbiWorkspace ws;
+  ReconstructionProblem problem;
+  region::RegionTrajectory out;
+  Observed seen;
+  for (size_t len = 2; len <= 6; ++len) {
+    for (size_t start = 0; start < far_regions.size(); start += 5) {
+      // Position 1 observed at a near region, the rest at far regions.
+      PerturbedNgramSet z;
+      for (size_t i = 1; i < len; ++i) {
+        const region::RegionId from =
+            i == 1 ? near_regions[start % near_regions.size()]
+                   : far_regions[(start + i) % far_regions.size()];
+        z.push_back({i, i + 1,
+                     {from, far_regions[(start + i + 1) % far_regions.size()]}});
+      }
+      for (const auto& candidates : {all, short_ranking}) {
+        ASSERT_TRUE(
+            problem.Reset(&distance, &graph, len, z, candidates).ok());
+        const Status status =
+            ViterbiReconstructor::ReconstructInto(problem, ws, out);
+        const auto expected = ReferencePull(problem, seen);
+        ASSERT_EQ(status.code(), expected.status().code())
+            << "len " << len << ", start " << start << ", "
+            << candidates.size() << " candidates: " << status;
+        if (status.ok()) {
+          EXPECT_EQ(out, *expected) << "len " << len << ", start " << start
+                                    << ", " << candidates.size()
+                                    << " candidates";
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen.scans_on_path, 0u);
+  EXPECT_GT(seen.settles, 0u);
 }
 
 }  // namespace

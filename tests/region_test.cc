@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -254,6 +259,90 @@ TEST(RegionDistanceTest, WeightsZeroOutDimensions) {
       EXPECT_NEAR(phys.Between(a, b), phys.SpatialKm(a, b), 1e-12);
     }
   }
+}
+
+// The grid world plus, at three POIs' locations, a twin of another
+// category: two regions with one centroid and different category nodes.
+StatusOr<model::PoiDatabase> GridWorldWithTwins() {
+  auto grid = MakeGridWorld();
+  if (!grid.ok()) return grid.status();
+  std::vector<model::Poi> pois = grid->pois();
+  const std::vector<hierarchy::CategoryId> leaves =
+      grid->categories().Leaves();
+  for (const size_t i : {0, 5, 10}) {
+    model::Poi twin = pois[i];
+    twin.name += "_twin";
+    twin.category = leaves[(i + 1) % leaves.size()];
+    pois.push_back(std::move(twin));
+  }
+  return model::PoiDatabase::Create(std::move(pois),
+                                    trajldp::testing::MakeSmallTree());
+}
+
+// The matrix is built once per pair of (centroid, category) keys; every
+// entry must still be the float of the per-pair Between(), bit for bit,
+// with the larger region first as the per-pair loop called it.
+TEST(RegionDistanceTest, MatrixEqualsBetweenBitForBit) {
+  struct World {
+    std::string name;
+    StatusOr<model::PoiDatabase> db;
+    int base_interval_minutes;
+  };
+  World worlds[] = {
+      // Hourly intervals: every (cell, category) key recurs per hour.
+      {"hourly", MakeGridWorld(), 60},
+      {"twins", GridWorldWithTwins(), 60},
+      // All day: one key per region.
+      {"all-day", MakeGridWorld(), 1440},
+  };
+  const RegionDistance::Weights weights[] = {
+      {1.0, 1.0, 1.0}, {1.0, 0.0, 0.0}, {0.7, 1.9, 2.3}};
+  bool recurring = false, twins = false, one_per_region = false;
+  for (World& world : worlds) {
+    SCOPED_TRACE(world.name);
+    ASSERT_TRUE(world.db.ok());
+    DecompositionConfig config = SmallConfig();
+    config.base_interval_minutes = world.base_interval_minutes;
+    auto decomp = StcDecomposition::Build(&*world.db, TenMinutes(), config);
+    ASSERT_TRUE(decomp.ok());
+    const size_t n = decomp->num_regions();
+    // What d_s and d_c read: the centroid's bits and the category node.
+    std::map<std::tuple<uint64_t, uint64_t, hierarchy::CategoryId>, size_t>
+        keys;
+    std::map<std::pair<uint64_t, uint64_t>, std::set<hierarchy::CategoryId>>
+        categories_at;
+    for (const StcRegion& r : decomp->regions()) {
+      const auto lat = std::bit_cast<uint64_t>(r.centroid.lat);
+      const auto lon = std::bit_cast<uint64_t>(r.centroid.lon);
+      recurring |= ++keys[{lat, lon, r.category}] >= 2;
+      categories_at[{lat, lon}].insert(r.category);
+    }
+    for (const auto& [centroid, categories] : categories_at) {
+      twins |= categories.size() >= 2;
+    }
+    one_per_region |= keys.size() == n;
+    for (const RegionDistance::Weights& w : weights) {
+      const RegionDistance dist(&*decomp, w);
+      size_t mismatches = 0;
+      for (RegionId a = 0; a < n; ++a) {
+        const std::span<const float> row = dist.ToAll(a);
+        for (RegionId b = 0; b < n; ++b) {
+          const auto want = static_cast<float>(
+              dist.Between(std::max(a, b), std::min(a, b)));
+          if (std::bit_cast<uint32_t>(row[b]) !=
+              std::bit_cast<uint32_t>(want)) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "weights {" << w.spatial << ", "
+                                << w.temporal << ", " << w.category
+                                << "} over " << n * n << " pairs";
+    }
+  }
+  EXPECT_TRUE(recurring);
+  EXPECT_TRUE(twins);
+  EXPECT_TRUE(one_per_region);
 }
 
 // ---------- RegionGraph ----------
