@@ -216,7 +216,11 @@ required = [
     "trajldp_ingest_frames_total",
     "trajldp_ingest_connections_accepted_total",
     "trajldp_collector_reports_released_total",
+    "trajldp_collector_epsilon_spent",
 ]
+# The harness mechanism's ε: the ledger must read exactly 5 × released,
+# an integer that renders exactly.
+EPSILON = 5
 
 def scrape():
     body = urllib.request.urlopen(
@@ -230,23 +234,31 @@ def scrape():
     return series
 
 # The shard cannot exit before the hold file appears, but its worker
-# may still be draining — poll until every core series is positive.
-deadline = time.monotonic() + 30
+# may still be draining — poll until every core series is positive and
+# the ledger agrees with the release count (a mid-drain scrape can read
+# the two one release apart). The deadline ends before the shard's own
+# 30 s admin hold, so a failure names its series.
+deadline = time.monotonic() + 20
 while True:
     series = scrape()
     missing = [n for n in required if n not in series]
     if missing:
         sys.exit(f"shard {shard}: /metrics is missing {missing[0]}")
+    released = series["trajldp_collector_reports_released_total"]
+    spent = series["trajldp_collector_epsilon_spent"]
     stale = [n for n in required if series[n] <= 0]
-    if not stale:
+    if not stale and spent == EPSILON * released:
         break
     if time.monotonic() >= deadline:
-        sys.exit(f"shard {shard}: {stale[0]} is still "
-                 f"{series[stale[0]]}, expected > 0")
+        if stale:
+            sys.exit(f"shard {shard}: {stale[0]} is still "
+                     f"{series[stale[0]]}, expected > 0")
+        sys.exit(f"shard {shard}: trajldp_collector_epsilon_spent is "
+                 f"{spent}, expected {EPSILON} x {released:.0f} released")
     time.sleep(0.1)
 print(f"shard {shard}: /metrics OK "
       f"(frames={series['trajldp_ingest_frames_total']:.0f}, "
-      f"released={series['trajldp_collector_reports_released_total']:.0f})")
+      f"released={released:.0f}, epsilon_spent={spent:.0f})")
 PY
     # Release the shard: it holds its admin endpoint (and process) open
     # until this file appears.

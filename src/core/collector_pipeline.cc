@@ -1,6 +1,7 @@
 #include "core/collector_pipeline.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
 #include <utility>
 
@@ -8,6 +9,17 @@
 #include "region/region_index.h"
 
 namespace trajldp::core {
+
+namespace {
+
+/// The shortest text that parses back to `value`, so a one-ulp
+/// difference shows in a message.
+std::string RoundTripText(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+}  // namespace
 
 StageBreakdown& StageBreakdown::operator+=(const StageBreakdown& other) {
   perturb_seconds += other.perturb_seconds;
@@ -199,6 +211,16 @@ Status CollectorPipeline::ValidateReport(size_t trajectory_len,
     }
   }
   return Status::Ok();
+}
+
+Status CollectorPipeline::CheckEpsilonPrime(size_t trajectory_len,
+                                            double epsilon_prime) const {
+  const double expected = perturber_->EpsilonPerPerturbation(trajectory_len);
+  if (epsilon_prime == expected) return Status::Ok();
+  return Status::InvalidArgument(
+      "report ε′ " + RoundTripText(epsilon_prime) + " for trajectory length " +
+      std::to_string(trajectory_len) + ", expected " +
+      RoundTripText(expected));
 }
 
 }  // namespace trajldp::core

@@ -157,6 +157,14 @@ class CollectorPipeline {
   Status ValidateReport(size_t trajectory_len,
                         const PerturbedNgramSet& z) const;
 
+  /// Requires a report's ε′ to equal, bit for bit, what this pipeline's
+  /// perturber spends per draw at length `trajectory_len`
+  /// (NgramPerturber::EpsilonPerPerturbation). Both sides evaluate the
+  /// same expression, so an honest device always matches; any other
+  /// value, NaN included, means the report was perturbed under another ε
+  /// or n and fails with InvalidArgument naming L and both values.
+  Status CheckEpsilonPrime(size_t trajectory_len, double epsilon_prime) const;
+
   const NgramPerturber& perturber() const { return *perturber_; }
   size_t num_regions() const;
 

@@ -20,15 +20,14 @@ double NgramPerturber::EpsilonPerPerturbation(size_t len) const {
 }
 
 StatusOr<PerturbedNgramSet> NgramPerturber::Perturb(
-    const region::RegionTrajectory& tau, Rng& rng,
-    ldp::PrivacyBudget* budget) const {
+    const region::RegionTrajectory& tau, Rng& rng) const {
   SamplerWorkspace ws;
-  return Perturb(tau, rng, ws, budget);
+  return Perturb(tau, rng, ws);
 }
 
 StatusOr<PerturbedNgramSet> NgramPerturber::Perturb(
-    const region::RegionTrajectory& tau, Rng& rng, SamplerWorkspace& ws,
-    ldp::PrivacyBudget* budget) const {
+    const region::RegionTrajectory& tau, Rng& rng,
+    SamplerWorkspace& ws) const {
   if (tau.empty()) {
     return Status::InvalidArgument("cannot perturb an empty trajectory");
   }
@@ -40,13 +39,6 @@ StatusOr<PerturbedNgramSet> NgramPerturber::Perturb(
   // 2-point trajectory with n = 3 degenerates to bigram perturbation.
   const size_t n = std::min<size_t>(static_cast<size_t>(config_.n), len);
   const double eps_prime = EpsilonPerPerturbation(len);
-
-  auto charge = [&]() -> Status {
-    if (budget != nullptr) {
-      TRAJLDP_RETURN_NOT_OK(budget->Spend(eps_prime));
-    }
-    return Status::Ok();
-  };
 
   // Samples the fragment tau[a..b] (1-based inclusive) straight from the
   // trajectory storage — no per-n-gram input copy.
@@ -64,7 +56,6 @@ StatusOr<PerturbedNgramSet> NgramPerturber::Perturb(
   // Main perturbations: a = 1..L−n+1 (1-based inclusive indices).
   for (size_t a = 1; a + n - 1 <= len; ++a) {
     const size_t b = a + n - 1;
-    TRAJLDP_RETURN_NOT_OK(charge());
     auto sampled = sample(a, b);
     if (!sampled.ok()) return sampled.status();
     z.push_back(PerturbedNgram{a, b, std::move(*sampled)});
@@ -74,14 +65,12 @@ StatusOr<PerturbedNgramSet> NgramPerturber::Perturb(
   // z(L−m+1, L) for m = 1..n−1, using the smaller domains W_m.
   for (size_t m = 1; m < n; ++m) {
     {
-      TRAJLDP_RETURN_NOT_OK(charge());
       auto sampled = sample(1, m);
       if (!sampled.ok()) return sampled.status();
       z.push_back(PerturbedNgram{1, m, std::move(*sampled)});
     }
     {
       const size_t a = len - m + 1;
-      TRAJLDP_RETURN_NOT_OK(charge());
       auto sampled = sample(a, len);
       if (!sampled.ok()) return sampled.status();
       z.push_back(PerturbedNgram{a, len, std::move(*sampled)});

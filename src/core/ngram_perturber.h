@@ -5,7 +5,6 @@
 #include "common/status_or.h"
 #include "core/ngram.h"
 #include "core/ngram_domain.h"
-#include "ldp/privacy_budget.h"
 #include "region/decomposition.h"
 
 namespace trajldp::core {
@@ -42,24 +41,25 @@ class NgramPerturber {
   /// L + n − 1 (with n clamped to L).
   size_t NumPerturbations(size_t len) const;
 
-  /// Per-invocation budget ε′ for a trajectory of length `len`.
+  /// Per-invocation budget ε′ for a trajectory of length `len`. The one
+  /// place Theorem 5.3's split is computed: the device spends it on every
+  /// draw and the collector requires it of every report
+  /// (CollectorPipeline::CheckEpsilonPrime).
   double EpsilonPerPerturbation(size_t len) const;
 
   /// Perturbs a region-level trajectory into the set Z of overlapping
-  /// perturbed n-grams. When `budget` is non-null every EM draw is
-  /// recorded against it (and the call fails if the budget cannot cover
-  /// the draws). n is clamped to the trajectory length.
+  /// perturbed n-grams, NumPerturbations(L) EM draws at
+  /// EpsilonPerPerturbation(L) each. n is clamped to the trajectory
+  /// length.
   StatusOr<PerturbedNgramSet> Perturb(const region::RegionTrajectory& tau,
-                                      Rng& rng,
-                                      ldp::PrivacyBudget* budget = nullptr) const;
+                                      Rng& rng) const;
 
   /// Hot-path variant: all sampler scratch lives in `ws`, so repeated
   /// calls (one per user of a batch) allocate only the output set. Draws
   /// are bit-identical to the workspace-free overload for the same Rng
   /// state. Thread-safe given one workspace and Rng per thread.
   StatusOr<PerturbedNgramSet> Perturb(const region::RegionTrajectory& tau,
-                                      Rng& rng, SamplerWorkspace& ws,
-                                      ldp::PrivacyBudget* budget = nullptr) const;
+                                      Rng& rng, SamplerWorkspace& ws) const;
 
  private:
   const NgramDomain* domain_;

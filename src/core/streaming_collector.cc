@@ -102,7 +102,8 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
         labels);
     validate_seconds_ = registry_->GetHistogram(
         "trajldp_collector_validate_seconds",
-        "Per-report n-gram validation time.", obs::DefaultLatencyBounds(),
+        "Per-report validation time: n-gram structure, then ε′.",
+        obs::DefaultLatencyBounds(),
         labels);
     reconstruct_seconds_ = registry_->GetHistogram(
         "trajldp_collector_reconstruct_seconds",
@@ -120,6 +121,11 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
   obs::Gauge* dedup_g = registry_->GetGauge(
       "trajldp_collector_dedup_users_claimed",
       "User ids currently claimed in the dedup set.", labels);
+  obs::Gauge* epsilon_spent_g = registry_->GetGauge(
+      "trajldp_collector_epsilon_spent",
+      "Privacy budget spent by the released reports (§5.7: k releases "
+      "cost k·ε): reports released × ε.",
+      labels);
   obs::Gauge* cache_g[6] = {
       registry_->GetGauge("trajldp_domain_cache_weight_rows",
                           "EM weight rows resident in the domain cache.",
@@ -136,10 +142,14 @@ void StreamingCollector::RegisterMetrics(const Config& config) {
                           "Suffix-row cache misses.", labels),
   };
   hook_id_ = registry_->AddHook([this, queue_depth_g, queue_high_g, dedup_g,
-                                 cache_g] {
+                                 epsilon_spent_g, cache_g] {
     queue_depth_g->Set(static_cast<double>(queue_depth()));
     queue_high_g->Set(static_cast<double>(queue_high_water()));
     dedup_g->Set(static_cast<double>(dedup_users_claimed()));
+    // One product, never a running sum: adding ε per release drifts by a
+    // rounding error each time (ten 0.1s sum to 0.9999999999999999).
+    epsilon_spent_g->Set(static_cast<double>(reports_released()) *
+                         pipeline_.perturber().config().epsilon);
     const CacheStats stats = domain_->cache_stats();
     cache_g[0]->Set(static_cast<double>(stats.weight_rows));
     cache_g[1]->Set(static_cast<double>(stats.suffix_rows));
@@ -285,6 +295,10 @@ bool StreamingCollector::ProcessBatch(const io::ReportBatch& batch,
                                     : std::chrono::steady_clock::time_point{};
     Status valid =
         pipeline_.ValidateReport(report.trajectory_len, report.ngrams);
+    if (valid.ok()) {
+      valid = pipeline_.CheckEpsilonPrime(report.trajectory_len,
+                                          report.epsilon_prime);
+    }
     if (validate_seconds_ != nullptr) {
       validate_seconds_->Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

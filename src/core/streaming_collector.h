@@ -56,9 +56,10 @@ io::ReportBatch MakeWireReports(
 ///
 /// ### Error policy
 ///
-/// The first failing report (malformed frame, out-of-range region id,
-/// reconstruction failure) latches an error: subsequent Push calls fail
-/// fast with it, in-flight work is discarded, and Finish() returns it.
+/// The first failing report (malformed frame, out-of-range region id, an
+/// ε′ this mechanism does not spend, reconstruction failure) latches an
+/// error: subsequent Push calls fail fast with it, in-flight work is
+/// discarded, and Finish() returns it.
 /// Reports already emitted stay emitted.
 class StreamingCollector {
  public:

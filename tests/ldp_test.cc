@@ -6,59 +6,10 @@
 #include "common/rng.h"
 #include "ldp/exponential_mechanism.h"
 #include "ldp/permute_and_flip.h"
-#include "ldp/privacy_budget.h"
 #include "ldp/subsampled_em.h"
 
 namespace trajldp::ldp {
 namespace {
-
-// ---------- PrivacyBudget ----------
-
-TEST(PrivacyBudgetTest, CreateValidates) {
-  EXPECT_TRUE(PrivacyBudget::Create(1.0).ok());
-  EXPECT_FALSE(PrivacyBudget::Create(0.0).ok());
-  EXPECT_FALSE(PrivacyBudget::Create(-1.0).ok());
-  EXPECT_FALSE(
-      PrivacyBudget::Create(std::numeric_limits<double>::infinity()).ok());
-}
-
-TEST(PrivacyBudgetTest, SpendAccumulates) {
-  auto budget = PrivacyBudget::Create(1.0);
-  ASSERT_TRUE(budget.ok());
-  EXPECT_TRUE(budget->Spend(0.25).ok());
-  EXPECT_TRUE(budget->Spend(0.25).ok());
-  EXPECT_DOUBLE_EQ(budget->spent(), 0.5);
-  EXPECT_DOUBLE_EQ(budget->remaining(), 0.5);
-  EXPECT_EQ(budget->history().size(), 2u);
-}
-
-TEST(PrivacyBudgetTest, OverspendIsRejected) {
-  auto budget = PrivacyBudget::Create(1.0);
-  ASSERT_TRUE(budget.ok());
-  EXPECT_TRUE(budget->Spend(0.9).ok());
-  EXPECT_EQ(budget->Spend(0.2).code(), StatusCode::kResourceExhausted);
-  // Failed spends do not mutate state.
-  EXPECT_DOUBLE_EQ(budget->spent(), 0.9);
-}
-
-TEST(PrivacyBudgetTest, ManyEqualSharesComposeToTotal) {
-  auto budget = PrivacyBudget::Create(5.0);
-  ASSERT_TRUE(budget.ok());
-  auto share = budget->EqualShare(7);
-  ASSERT_TRUE(share.ok());
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_TRUE(budget->Spend(*share).ok()) << "spend " << i;
-  }
-  EXPECT_NEAR(budget->spent(), 5.0, 1e-9);
-  // Nothing left beyond floating-point slack.
-  EXPECT_EQ(budget->Spend(0.01).code(), StatusCode::kResourceExhausted);
-}
-
-TEST(PrivacyBudgetTest, EqualShareRejectsZeroParts) {
-  auto budget = PrivacyBudget::Create(1.0);
-  ASSERT_TRUE(budget.ok());
-  EXPECT_FALSE(budget->EqualShare(0).ok());
-}
 
 // ---------- ExponentialMechanism ----------
 

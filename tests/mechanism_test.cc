@@ -103,17 +103,23 @@ TEST_F(MechanismFixture, DifferentSeedsUsuallyDiffer) {
 }
 
 TEST_F(MechanismFixture, WorksForAllNgramLengths) {
+  // The one-point input is §8's continuous sharing: each release is a
+  // single point, so every n clamps to 1.
+  const model::Trajectory inputs[] = {SampleInput(),
+                                      MakeTrajectory({{0, 54}})};
   for (int n = 1; n <= 3; ++n) {
     NGramConfig config = DefaultConfig();
     config.n = n;
     auto mech = NGramMechanism::Build(db_.get(), time_, config);
     ASSERT_TRUE(mech.ok()) << "n=" << n;
-    const auto input = SampleInput();
-    Rng rng(29);
-    auto output = mech->Perturb(input, rng);
-    ASSERT_TRUE(output.ok()) << "n=" << n << ": " << output.status();
-    EXPECT_EQ(output->size(), input.size());
-    EXPECT_TRUE(output->Validate(time_).ok());
+    for (const model::Trajectory& input : inputs) {
+      Rng rng(29);
+      auto output = mech->Perturb(input, rng);
+      ASSERT_TRUE(output.ok())
+          << "n=" << n << " L=" << input.size() << ": " << output.status();
+      EXPECT_EQ(output->size(), input.size());
+      EXPECT_TRUE(output->Validate(time_).ok());
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -10,7 +11,6 @@
 #include "core/ngram.h"
 #include "core/ngram_domain.h"
 #include "core/ngram_perturber.h"
-#include "ldp/privacy_budget.h"
 #include "region/region_distance.h"
 #include "region/region_graph.h"
 #include "test_world.h"
@@ -309,32 +309,33 @@ TEST_F(NgramFixture, PerturbationCountsMatchTheorem53) {
   }
 }
 
+// Theorem 5.3 as the perturber spends it: a length-L trajectory takes
+// NumPerturbations(L) = L + min(n, L) − 1 EM draws at
+// EpsilonPerPerturbation(L) each, which compose to exactly ε.
 TEST_F(NgramFixture, BudgetComposesToExactlyEpsilon) {
   const double epsilon = 5.0;
-  NgramPerturber perturber(domain_.get(),
-                           NgramPerturber::Config{2, epsilon});
-  region::RegionTrajectory tau = {*decomp_->Lookup(0, 60),
-                                  *decomp_->Lookup(1, 66),
-                                  *decomp_->Lookup(2, 72)};
-  auto budget = ldp::PrivacyBudget::Create(epsilon);
-  ASSERT_TRUE(budget.ok());
-  Rng rng(6);
-  auto z = perturber.Perturb(tau, rng, &*budget);
-  ASSERT_TRUE(z.ok());
-  EXPECT_NEAR(budget->spent(), epsilon, 1e-9);
-  EXPECT_EQ(budget->history().size(), tau.size() + 2 - 1);
-}
-
-TEST_F(NgramFixture, InsufficientBudgetFails) {
-  NgramPerturber perturber(domain_.get(), NgramPerturber::Config{2, 5.0});
-  region::RegionTrajectory tau = {*decomp_->Lookup(0, 60),
-                                  *decomp_->Lookup(1, 66)};
-  // A budget accountant holding less than the configured ε must refuse.
-  auto budget = ldp::PrivacyBudget::Create(1.0);
-  ASSERT_TRUE(budget.ok());
-  Rng rng(7);
-  auto z = perturber.Perturb(tau, rng, &*budget);
-  EXPECT_FALSE(z.ok());
+  region::RegionTrajectory path;
+  for (model::PoiId p = 0; p < 6; ++p) {
+    path.push_back(*decomp_->Lookup(p, 60 + 6 * p));
+  }
+  for (int n = 1; n <= 3; ++n) {
+    const NgramPerturber perturber(domain_.get(),
+                                   NgramPerturber::Config{n, epsilon});
+    for (size_t len = 1; len <= path.size(); ++len) {
+      const region::RegionTrajectory tau(path.begin(), path.begin() + len);
+      const size_t draws = len + std::min<size_t>(n, len) - 1;
+      Rng rng(6);
+      auto z = perturber.Perturb(tau, rng);
+      ASSERT_TRUE(z.ok()) << "n=" << n << " L=" << len << ": " << z.status();
+      EXPECT_EQ(perturber.NumPerturbations(len), draws)
+          << "n=" << n << " L=" << len;
+      EXPECT_EQ(z->size(), draws) << "n=" << n << " L=" << len;
+      EXPECT_DOUBLE_EQ(static_cast<double>(perturber.NumPerturbations(len)) *
+                           perturber.EpsilonPerPerturbation(len),
+                       epsilon)
+          << "n=" << n << " L=" << len;
+    }
+  }
 }
 
 TEST_F(NgramFixture, NGreaterThanLengthIsClamped) {

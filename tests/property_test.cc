@@ -115,12 +115,13 @@ INSTANTIATE_TEST_SUITE_P(Epsilons, EmRatioSweep,
 // ---------- Statistical ε-LDP sanity (Monte Carlo) ----------
 
 // Empirically verifies the Theorem 5.3 guarantee on the n-gram perturber
-// itself: for any two adjacent inputs (any two trajectories — LDP
-// adjacency is unrestricted) and any output, the output-probability
-// ratio is bounded by e^ε. Single-point trajectories keep the output
-// space enumerable (one 1-gram, i.e. one region), so empirical
-// frequencies estimate the output distribution directly; the slack
-// absorbs Monte-Carlo noise on top of the exact bound.
+// itself: for any two inputs of the same length and any output, the
+// output-probability ratio is bounded by e^ε. Adjacency is same-length
+// because every report discloses L: through trajectory_len, its n-gram
+// count and the ε′ the collector checks. Single-point trajectories keep
+// the output space enumerable (one 1-gram, i.e. one region), so
+// empirical frequencies estimate the output distribution directly; the
+// slack absorbs Monte-Carlo noise on top of the exact bound.
 TEST(LdpMonteCarloTest, PerturberAdjacentInputRatiosWithinExpEpsilon) {
   auto db = MakeGridWorld();
   ASSERT_TRUE(db.ok());

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -39,9 +42,14 @@ class StreamingFixture : public ::testing::Test {
     ASSERT_TRUE(db.ok());
     db_ = std::make_unique<model::PoiDatabase>(std::move(*db));
     time_ = *model::TimeDomain::Create(10);
+    UseEpsilon(5.0);
+  }
+
+  // (Re)builds mech_ with total budget `epsilon`.
+  void UseEpsilon(double epsilon) {
     NGramConfig config;
     config.n = 2;
-    config.epsilon = 5.0;
+    config.epsilon = epsilon;
     config.decomposition.grid_size = 5;
     config.decomposition.coarse_grids = {1};
     config.decomposition.base_interval_minutes = 720;
@@ -426,6 +434,86 @@ TEST_F(StreamingFixture, InconsistentNgramSpanRejected) {
                                [](UserRelease) { FAIL(); });
   ASSERT_TRUE(collector.Push(io::ReportBatch{report}).ok());
   EXPECT_FALSE(collector.Finish().ok());
+}
+
+// The shortest text that parses back to `value`, as the collector's ε′
+// message prints it.
+std::string RoundTripText(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// Device and collector both compute ε′ = ε / (L + min(n, L) − 1) with
+// NgramPerturber::EpsilonPerPerturbation, so the collector compares it
+// exactly. One ulp either way, NaN, 0, a flipped sign or +∞ means the
+// report was perturbed under another mechanism and must not be released.
+TEST_F(StreamingFixture, EpsilonPrimeMustMatchTheMechanismExactly) {
+  const uint64_t seed = 41;
+  const auto users = MakeUsers(4, 43);
+  const io::WireReport report = MakeReports(users, seed)[3];
+  const size_t len = users[3].size();
+  const double exact = report.epsilon_prime;
+  ASSERT_EQ(exact, mech_->perturber().EpsilonPerPerturbation(len));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double wrong :
+       {std::nextafter(exact, inf), std::nextafter(exact, 0.0),
+        std::numeric_limits<double>::quiet_NaN(), 0.0, -exact, inf}) {
+    io::WireReport bad = report;
+    bad.epsilon_prime = wrong;
+    StreamingCollector collector(mech_.get(), seed,
+                                 [](UserRelease) { FAIL(); });
+    ASSERT_TRUE(collector.Push(io::ReportBatch{bad}).ok());
+    const Status status = collector.Finish();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << RoundTripText(wrong) << ": " << status;
+    for (const std::string& part :
+         {std::string("user 3: "), "ε′ " + RoundTripText(wrong) + " ",
+          "length " + std::to_string(len),
+          "expected " + RoundTripText(exact)}) {
+      EXPECT_NE(status.message().find(part), std::string::npos)
+          << "'" << part << "' missing from: " << status;
+    }
+  }
+
+  std::vector<UserRelease> out;
+  StreamingCollector collector(
+      mech_.get(), seed,
+      [&out](UserRelease release) { out.push_back(std::move(release)); });
+  ASSERT_TRUE(collector.Push(io::ReportBatch{report}).ok());
+  ASSERT_TRUE(collector.Finish().ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].user_id, 3u);
+}
+
+// §5.7: k releases cost kε. The ledger is one product, so it is exact
+// where a running sum is not: ten additions of 0.1 give
+// 0.9999999999999999, but 10 × 0.1 is 1. Duplicates dropped by dedup
+// release nothing and cost nothing.
+TEST_F(StreamingFixture, EpsilonLedgerIsReleasesTimesEpsilon) {
+  constexpr double kEpsilon = 0.1;
+  constexpr size_t kReleases = 10;
+  double running = 0.0;
+  for (size_t i = 0; i < kReleases; ++i) running += kEpsilon;
+  ASSERT_NE(running, kReleases * kEpsilon);
+
+  UseEpsilon(kEpsilon);
+  const uint64_t seed = 47;
+  const auto reports = MakeReports(MakeUsers(kReleases, 49), seed);
+  StreamingCollector::Config config;
+  config.dedup_user_ids = true;
+  StreamingCollector collector(mech_.get(), seed, [](UserRelease) {},
+                               config);
+  ASSERT_TRUE(collector.Push(reports).ok());
+  ASSERT_TRUE(collector.Push(reports).ok());  // full replay: all dupes
+  ASSERT_TRUE(collector.Finish().ok());
+  ASSERT_EQ(collector.reports_released(), kReleases);
+  ASSERT_EQ(collector.duplicates_dropped(), kReleases);
+  const obs::RegistrySnapshot snapshot = collector.metrics()->Snapshot();
+  const obs::MetricSnapshot* spent =
+      snapshot.Find("trajldp_collector_epsilon_spent");
+  ASSERT_NE(spent, nullptr);
+  EXPECT_EQ(spent->value, kReleases * kEpsilon)
+      << RoundTripText(spent->value);
 }
 
 // Regression: dedup claimed a user id BEFORE validation, so a report
