@@ -338,6 +338,30 @@ TEST_F(NgramFixture, BudgetComposesToExactlyEpsilon) {
   }
 }
 
+// Sequential composition adds the draws' budgets, so ε split into many
+// equal shares must add back up to ε: up to L = 1,000, NumPerturbations(L)
+// additions of EpsilonPerPerturbation(L) stay within floating-point slack
+// of ε, and their product is ε.
+using PrivacyBudgetTest = NgramFixture;
+
+TEST_F(PrivacyBudgetTest, ManyEqualSharesComposeToTotal) {
+  const double epsilon = 5.0;
+  for (int n = 1; n <= 3; ++n) {
+    const NgramPerturber perturber(domain_.get(),
+                                   NgramPerturber::Config{n, epsilon});
+    for (size_t len = 1; len <= 1000; ++len) {
+      const size_t shares = perturber.NumPerturbations(len);
+      const double share = perturber.EpsilonPerPerturbation(len);
+      ASSERT_GT(share, 0.0) << "n=" << n << " L=" << len;
+      double spent = 0.0;
+      for (size_t i = 0; i < shares; ++i) spent += share;
+      EXPECT_NEAR(spent, epsilon, 1e-9) << "n=" << n << " L=" << len;
+      EXPECT_DOUBLE_EQ(static_cast<double>(shares) * share, epsilon)
+          << "n=" << n << " L=" << len;
+    }
+  }
+}
+
 TEST_F(NgramFixture, NGreaterThanLengthIsClamped) {
   NgramPerturber perturber(domain_.get(), NgramPerturber::Config{3, 5.0});
   region::RegionTrajectory tau = {*decomp_->Lookup(0, 60),
